@@ -263,17 +263,15 @@ std::vector<std::size_t> Krum::krum_order(
         std::to_string(needed) +
         " (sample a larger cohort or lower krum_f)");
   }
-  // Pairwise squared distances, each pair computed once. n is a cohort
-  // (tens), not the fleet, so the O(n^2) pass over full snapshots is
-  // the aggregation cost, not a scaling wall.
-  std::vector<double> dist(n * n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double d = cohort[i].params->squared_l2_distance(*cohort[j].params);
-      dist[i * n + j] = d;
-      dist[j * n + i] = d;
-    }
-  }
+  // Pairwise squared distances, each pair computed once: the O(n^2)
+  // pass over full snapshots that dominates the rule. The kernel runs
+  // register-blocked tiles on the global pool, and every cell is
+  // bit-for-bit squared_l2_distance, so the scores, the order and the
+  // selected updates do not depend on the pool size.
+  std::vector<const ModelParameters*> snapshots(n);
+  for (std::size_t i = 0; i < n; ++i) snapshots[i] = cohort[i].params;
+  const std::vector<double> dist =
+      ModelParameters::pairwise_squared_l2_distances(snapshots);
   // score_i = sum of the n - f - 2 smallest distances to OTHERS.
   const std::size_t neighbors = n - static_cast<std::size_t>(f_) - 2;
   std::vector<double> score(n, 0.0);

@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace fleda {
 
 namespace {
@@ -76,13 +78,17 @@ std::vector<UpdateVerdict> AnomalyDetector::score_cohort(
 
   // Pass 1 — norms. A non-finite delta is anomalous by definition (the
   // aggregation guard will reject it loudly; the detector's job is to
-  // pin it on the sender's record too).
+  // pin it on the sender's record too). The per-update norms run on the
+  // pool; the median is then taken serially.
+  parallel_for(n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      verdicts[i].norm = std::sqrt(deltas[i]->squared_l2_norm());
+    }
+  });
   std::vector<double> finite_norms;
   finite_norms.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double norm = std::sqrt(deltas[i]->squared_l2_norm());
-    verdicts[i].norm = norm;
-    if (std::isfinite(norm)) finite_norms.push_back(norm);
+  for (const UpdateVerdict& v : verdicts) {
+    if (std::isfinite(v.norm)) finite_norms.push_back(v.norm);
   }
   if (finite_norms.empty()) {
     for (UpdateVerdict& v : verdicts) v.flagged = true;
@@ -123,17 +129,20 @@ std::vector<UpdateVerdict> AnomalyDetector::score_cohort(
     const double consensus_norm_sq =
         consensus.empty() ? 0.0 : consensus.squared_l2_norm();
     if (consensus_norm_sq > 1e-24 && std::isfinite(consensus_norm_sq)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        UpdateVerdict& v = verdicts[i];
-        if (!std::isfinite(v.norm) || v.norm <= 1e-12) continue;
-        if (!consensus.structurally_equal(*deltas[i])) continue;
-        const double cos = deltas[i]->dot(consensus) /
-                           (v.norm * std::sqrt(consensus_norm_sq));
-        if (std::isfinite(cos)) {
-          v.cosine = cos;
-          if (cos < config_.cosine_threshold) v.flagged = true;
+      // Each update's cosine touches only its own verdict.
+      parallel_for(n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          UpdateVerdict& v = verdicts[i];
+          if (!std::isfinite(v.norm) || v.norm <= 1e-12) continue;
+          if (!consensus.structurally_equal(*deltas[i])) continue;
+          const double cos = deltas[i]->dot(consensus) /
+                             (v.norm * std::sqrt(consensus_norm_sq));
+          if (std::isfinite(cos)) {
+            v.cosine = cos;
+            if (cos < config_.cosine_threshold) v.flagged = true;
+          }
         }
-      }
+      });
     }
   }
 

@@ -1,9 +1,13 @@
 #include "fl/parameters.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "tensor/ops.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fleda {
 
@@ -160,6 +164,100 @@ double ModelParameters::squared_l2_distance(
     }
   }
   return acc;
+}
+
+namespace {
+
+// Pairwise distances run in tiles of kTileRows snapshots against
+// kTileCols. Each pair is an independent add chain, so a tile keeps 32
+// chains in flight where the one-pair loop waits on add latency, and
+// each loaded element is reused across a whole row or column of it.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 8;
+
+// Fills the pairs (i, j), i < j < n, of the tile whose rows start at i0
+// and columns at j0, plus their mirror cells. Slots past n repeat the
+// last snapshot and their sums are discarded, so edge tiles need no
+// variant.
+void distance_tile(const std::vector<const ModelParameters*>& snapshots,
+                   std::size_t i0, std::size_t j0, std::vector<double>& dist) {
+  const std::size_t n = snapshots.size();
+  const ModelParameters* rows[kTileRows];
+  const ModelParameters* cols[kTileCols];
+  for (std::size_t r = 0; r < kTileRows; ++r) {
+    rows[r] = snapshots[std::min(i0 + r, n - 1)];
+  }
+  for (std::size_t c = 0; c < kTileCols; ++c) {
+    cols[c] = snapshots[std::min(j0 + c, n - 1)];
+  }
+  double acc[kTileRows][kTileCols] = {};
+  for (std::size_t e = 0; e < rows[0]->entries().size(); ++e) {
+    const float* a[kTileRows];
+    const float* b[kTileCols];
+    for (std::size_t r = 0; r < kTileRows; ++r) {
+      a[r] = rows[r]->entries()[e].value.data();
+    }
+    for (std::size_t c = 0; c < kTileCols; ++c) {
+      b[c] = cols[c]->entries()[e].value.data();
+    }
+    const std::int64_t numel = rows[0]->entries()[e].value.numel();
+    for (std::int64_t k = 0; k < numel; ++k) {
+      double av[kTileRows];
+      double bv[kTileCols];
+      for (std::size_t r = 0; r < kTileRows; ++r) av[r] = a[r][k];
+      for (std::size_t c = 0; c < kTileCols; ++c) bv[c] = b[c][k];
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        for (std::size_t c = 0; c < kTileCols; ++c) {
+          const double d = av[r] - bv[c];
+          acc[r][c] += d * d;
+        }
+      }
+    }
+  }
+  for (std::size_t i = i0; i < std::min(i0 + kTileRows, n); ++i) {
+    for (std::size_t j = std::max(j0, i + 1); j < std::min(j0 + kTileCols, n);
+         ++j) {
+      dist[i * n + j] = acc[i - i0][j - j0];
+      dist[j * n + i] = acc[i - i0][j - j0];
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<double> ModelParameters::pairwise_squared_l2_distances(
+    const std::vector<const ModelParameters*>& snapshots) {
+  const std::size_t n = snapshots.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (snapshots[i] == nullptr) {
+      throw std::invalid_argument("pairwise_squared_l2_distances: snapshot " +
+                                  std::to_string(i) + " is null");
+    }
+    if (!snapshots[i]->structurally_equal(*snapshots[0])) {
+      throw std::invalid_argument(
+          "pairwise_squared_l2_distances: structure mismatch between "
+          "snapshot " +
+          std::to_string(i) + " and snapshot 0");
+    }
+  }
+  // Upper-triangle tiles: each row block against the aligned column
+  // blocks that hold some j > i.
+  std::vector<std::pair<std::size_t, std::size_t>> tiles;
+  for (std::size_t i0 = 0; i0 + 1 < n; i0 += kTileRows) {
+    for (std::size_t j0 = (i0 + 1) / kTileCols * kTileCols; j0 < n;
+         j0 += kTileCols) {
+      tiles.emplace_back(i0, j0);
+    }
+  }
+  std::vector<double> dist(n * n, 0.0);
+  // Every pair belongs to exactly one tile, so tiles write disjoint
+  // cells.
+  parallel_for(tiles.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
+      distance_tile(snapshots, tiles[t].first, tiles[t].second, dist);
+    }
+  });
+  return dist;
 }
 
 double ModelParameters::dot(const ModelParameters& other) const {

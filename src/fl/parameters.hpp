@@ -52,9 +52,20 @@ class ModelParameters {
   // ||a - b||^2 over ALL entries (buffers included, like
   // squared_l2_norm) — the pairwise distance Krum-style rules score
   // on: a poisoned buffer must count against its sender too. Computed
-  // without materializing the difference snapshot, so the O(n^2)
-  // pairwise pass over a cohort allocates nothing.
+  // without materializing the difference snapshot; the reference that
+  // pairwise_squared_l2_distances matches bit-for-bit.
   double squared_l2_distance(const ModelParameters& other) const;
+
+  // Every pairwise squared_l2_distance of `snapshots`, as a row-major
+  // n x n matrix with a zero diagonal. Cell (i, j) is bit-for-bit
+  // snapshots[i]->squared_l2_distance(*snapshots[j]) at any pool size:
+  // tiles of rows x columns run on the global pool, each pair keeps
+  // its own accumulator and walks the entries and elements in
+  // squared_l2_distance's order, so blocking only interleaves
+  // independent add chains. All snapshots must be structurally
+  // identical.
+  static std::vector<double> pairwise_squared_l2_distances(
+      const std::vector<const ModelParameters*>& snapshots);
 
   // <this, other> over ALL entries — the anomaly detector's cosine
   // ingredient. Accumulated in double; NaN/Inf operands propagate.

@@ -119,34 +119,6 @@ std::vector<std::size_t> FederatedAlgorithm::select_cohort(
   return participation.select(ctx);
 }
 
-std::vector<ModelParameters> FederatedAlgorithm::parallel_local_updates(
-    std::vector<Client>& clients,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg) {
-  if (clients.size() != deployed.size()) {
-    throw std::invalid_argument("parallel_local_updates: size mismatch");
-  }
-  std::vector<ModelParameters> updates(clients.size());
-  parallel_for(clients.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      updates[k] = clients[k].local_update(*deployed[k], cfg);
-    }
-  });
-  return updates;
-}
-
-std::vector<ModelParameters> FederatedAlgorithm::parallel_local_updates(
-    std::vector<Client>& clients,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (clients.size() != deployed.size()) {
-    throw std::invalid_argument("parallel_local_updates: size mismatch");
-  }
-  std::vector<std::size_t> everyone(clients.size());
-  for (std::size_t k = 0; k < everyone.size(); ++k) everyone[k] = k;
-  return cohort_local_updates(clients, everyone, deployed, cfg, sim);
-}
-
 namespace {
 
 // Shared by the dense and streaming round bodies. The channel's

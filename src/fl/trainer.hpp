@@ -133,27 +133,6 @@ class FederatedAlgorithm {
       std::size_t num_clients, const FLRunOptions& opts,
       const FederationSim& sim);
 
-  // Runs local_update on every client in parallel (each client only
-  // touches its own model and data). deployed[k] is what client k
-  // starts from this round. This is the direct, unmetered path — kept
-  // for baselines and as the reference the channel path is tested
-  // against.
-  static std::vector<ModelParameters> parallel_local_updates(
-      std::vector<Client>& clients,
-      const std::vector<const ModelParameters*>& deployed,
-      const ClientTrainConfig& cfg);
-
-  // Sync-barrier exchange round on the simulation engine, over the
-  // full client set: broadcasts deployed[k] down the channel, trains
-  // each client from what it decoded, collects the updates back up
-  // (delta codecs encode against the decoded deployment), schedules
-  // the per-client transfer/compute events and closes the round at the
-  // slowest client. Returns the server-side view of the updates.
-  static std::vector<ModelParameters> parallel_local_updates(
-      std::vector<Client>& clients,
-      const std::vector<const ModelParameters*>& deployed,
-      const ClientTrainConfig& cfg, FederationSim& sim);
-
   // Cohort form of the sync exchange round: deployed[i] goes to client
   // cohort[i], only cohort members train, upload and are billed, and
   // the barrier closes at the slowest *member* — the building block

@@ -7,6 +7,7 @@
 
 #include "fl/anomaly.hpp"
 #include "obs/telemetry.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fleda {
 
@@ -35,16 +36,19 @@ void FederationSim::observe_cohort_updates(
         "FederationSim::observe_cohort_updates: cohort/updates/references "
         "size mismatch");
   }
+  // One O(P) delta per update, each written only by its own index.
   std::vector<ModelParameters> deltas(cohort.size());
   std::vector<const ModelParameters*> delta_ptrs(cohort.size());
-  for (std::size_t i = 0; i < cohort.size(); ++i) {
-    deltas[i] = updates[i];
-    if (references[i] != nullptr &&
-        deltas[i].structurally_equal(*references[i])) {
-      deltas[i].add_scaled(*references[i], -1.0);
+  parallel_for(cohort.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      deltas[i] = updates[i];
+      if (references[i] != nullptr &&
+          deltas[i].structurally_equal(*references[i])) {
+        deltas[i].add_scaled(*references[i], -1.0);
+      }
+      delta_ptrs[i] = &deltas[i];
     }
-    delta_ptrs[i] = &deltas[i];
-  }
+  });
   observe_cohort_deltas(cohort, delta_ptrs);
 }
 

@@ -1,6 +1,8 @@
 // Adversarial arms-race tests: the Krum / MultiKrum selection math and
-// cohort-size guards, the AnomalyDetector's norm + cosine flagging and
-// its precision/recall on the stock sign-flip scenario, the
+// cohort-size guards, the pool-parallel pairwise-distance kernel under
+// them (bit-identical to the one-pair distance at every pool size), the
+// AnomalyDetector's norm + cosine flagging, its precision/recall on the
+// stock sign-flip scenario and its verdicts across pool sizes, the
 // ReputationBook weight dynamics and the ReputationWeighted sampler
 // they drive (including determinism across thread-pool sizes), the
 // adaptive (tolerance-probing) and colluding attacker behaviors, the
@@ -8,6 +10,7 @@
 // input validation, and AsyncFedAvg's staleness-aware dispatch gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -23,6 +26,7 @@
 #include "fl/synthetic.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/profile.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fleda {
@@ -128,6 +132,139 @@ TEST(MultiKrumRule, ValidatesM) {
   }
 }
 
+// --- pairwise distance kernel ----------------------------------------
+
+// A multi-entry snapshot with odd-sized tensors and two buffers, so the
+// kernel's tiles cross entry boundaries and buffers count too.
+ModelParameters random_snapshot(Rng& rng) {
+  ModelParameters p;
+  const struct {
+    const char* name;
+    bool is_buffer;
+    Shape shape;
+  } layout[] = {{"conv.weight", false, Shape{3, 4, 5}},
+                {"conv.bias", false, Shape{7}},
+                {"bn.running_mean", true, Shape{5}},
+                {"bn.running_var", true, Shape{33}}};
+  for (const auto& l : layout) {
+    ParameterEntry e;
+    e.name = l.name;
+    e.is_buffer = l.is_buffer;
+    e.value = Tensor(l.shape);
+    for (std::int64_t i = 0; i < e.value.numel(); ++i) {
+      e.value[i] = static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    p.mutable_entries().push_back(std::move(e));
+  }
+  return p;
+}
+
+std::vector<ModelParameters> random_cohort(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ModelParameters> cohort;
+  for (std::size_t i = 0; i < n; ++i) cohort.push_back(random_snapshot(rng));
+  return cohort;
+}
+
+std::vector<const ModelParameters*> pointers(
+    const std::vector<ModelParameters>& cohort) {
+  std::vector<const ModelParameters*> out;
+  for (const ModelParameters& p : cohort) out.push_back(&p);
+  return out;
+}
+
+const std::size_t kCohortSizes[] = {3, 5, 7, 13, 33};
+
+TEST(PairwiseDistances, MatchPerPairDistanceBitForBit) {
+  for (std::size_t n : kCohortSizes) {
+    const std::vector<ModelParameters> cohort = random_cohort(n, 100 + n);
+    const std::vector<double> dist =
+        ModelParameters::pairwise_squared_l2_distances(pointers(cohort));
+    ASSERT_EQ(dist.size(), n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(dist[i * n + i], 0.0);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j == i) continue;
+        // The upper-triangle pair is the one computed; the mirror cell
+        // holds the same value.
+        const std::size_t lo = std::min(i, j), hi = std::max(i, j);
+        EXPECT_EQ(dist[i * n + j], cohort[lo].squared_l2_distance(cohort[hi]))
+            << "n=" << n << " (" << i << ", " << j << ")";
+      }
+    }
+  }
+  EXPECT_TRUE(ModelParameters::pairwise_squared_l2_distances({}).empty());
+  const std::vector<ModelParameters> one = random_cohort(1, 9);
+  EXPECT_EQ(ModelParameters::pairwise_squared_l2_distances(pointers(one)),
+            std::vector<double>{0.0});
+}
+
+TEST(PairwiseDistances, IdenticalAcrossPoolSizesAndNesting) {
+  for (std::size_t n : kCohortSizes) {
+    const std::vector<ModelParameters> cohort = random_cohort(n, 200 + n);
+    const std::vector<const ModelParameters*> ptrs = pointers(cohort);
+    std::vector<std::vector<double>> results;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{8}}) {
+      ThreadPool::reset_global(threads);
+      results.push_back(ModelParameters::pairwise_squared_l2_distances(ptrs));
+    }
+    // From inside an outer parallel_for the pool is not re-entered: the
+    // kernel runs its tiles serially on the calling worker.
+    std::vector<std::vector<double>> nested(4);
+    parallel_for(nested.size(), [&](std::size_t begin, std::size_t end) {
+      for (std::size_t t = begin; t < end; ++t) {
+        nested[t] = ModelParameters::pairwise_squared_l2_distances(ptrs);
+      }
+    });
+    ThreadPool::reset_global(0);
+    EXPECT_EQ(results[0], results[1]) << "n=" << n;
+    EXPECT_EQ(results[0], results[2]) << "n=" << n;
+    for (const std::vector<double>& r : nested) {
+      EXPECT_EQ(results[0], r) << "n=" << n;
+    }
+  }
+}
+
+TEST(PairwiseDistances, KrumRulesAreIdenticalAcrossPoolSizes) {
+  for (std::size_t n : {std::size_t{7}, std::size_t{13}, std::size_t{33}}) {
+    const std::vector<ModelParameters> cohort = random_cohort(n, 300 + n);
+    std::vector<ModelParameters> krum, multi;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{8}}) {
+      ThreadPool::reset_global(threads);
+      krum.push_back(Krum(2).aggregate(ModelParameters{}, as_inputs(cohort)));
+      multi.push_back(
+          MultiKrum(2, 0).aggregate(ModelParameters{}, as_inputs(cohort)));
+    }
+    ThreadPool::reset_global(0);
+    for (std::size_t t = 1; t < krum.size(); ++t) {
+      EXPECT_TRUE(bit_identical(krum[0], krum[t])) << "n=" << n;
+      EXPECT_TRUE(bit_identical(multi[0], multi[t])) << "n=" << n;
+    }
+  }
+}
+
+TEST(PairwiseDistances, RejectsStructureMismatch) {
+  std::vector<ModelParameters> cohort = random_cohort(5, 400);
+  cohort[3].mutable_entries()[2].is_buffer = false;  // same shape, new role
+  try {
+    ModelParameters::pairwise_squared_l2_distances(pointers(cohort));
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("structure mismatch"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("snapshot 3"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(cohort[0].squared_l2_distance(cohort[3]),
+               std::invalid_argument);
+  EXPECT_THROW(ModelParameters::pairwise_squared_l2_distances(
+                   {&cohort[0], nullptr, &cohort[1]}),
+               std::invalid_argument);
+}
+
 // --- AnomalyDetector -------------------------------------------------
 
 TEST(AnomalyDetectorTest, FlagsInflatedNormsAndReversedDeltas) {
@@ -169,6 +306,47 @@ TEST(AnomalyDetectorTest, FlagsInflatedNormsAndReversedDeltas) {
   EXPECT_EQ(detector.total_scored(), 10u);
   EXPECT_EQ(detector.total_flagged(), 2u);
   EXPECT_GT(detector.baseline_norm(), 0.0);
+}
+
+TEST(AnomalyDetectorTest, VerdictsAreIdenticalAcrossPoolSizes) {
+  // 33 multi-entry deltas around one shared direction, three inflated
+  // and three reversed: the norm and cosine passes run on the pool, the
+  // verdicts must not notice.
+  const ModelParameters direction = random_cohort(1, 499).front();
+  std::vector<ModelParameters> deltas = random_cohort(33, 500);
+  for (ModelParameters& d : deltas) {
+    d.scale(0.3);
+    d.add_scaled(direction, 1.0);
+  }
+  for (std::size_t k : {std::size_t{4}, std::size_t{17}, std::size_t{30}}) {
+    deltas[k].scale(25.0);
+  }
+  for (std::size_t k : {std::size_t{2}, std::size_t{11}, std::size_t{23}}) {
+    deltas[k].scale(-1.0);
+  }
+  std::vector<std::size_t> clients(deltas.size());
+  for (std::size_t k = 0; k < clients.size(); ++k) clients[k] = 3 * k;
+  std::vector<std::vector<UpdateVerdict>> runs;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                              std::size_t{8}}) {
+    ThreadPool::reset_global(threads);
+    AnomalyConfig config;
+    config.enabled = true;
+    AnomalyDetector detector(config);
+    runs.push_back(detector.score_cohort(clients, pointers(deltas)));
+  }
+  ThreadPool::reset_global(0);
+  for (std::size_t t = 1; t < runs.size(); ++t) {
+    ASSERT_EQ(runs[t].size(), runs[0].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[t][i].client, runs[0][i].client);
+      EXPECT_EQ(runs[t][i].flagged, runs[0][i].flagged) << i;
+      EXPECT_EQ(runs[t][i].norm, runs[0][i].norm) << i;
+      EXPECT_EQ(runs[t][i].cosine, runs[0][i].cosine) << i;
+    }
+  }
+  EXPECT_TRUE(runs[0][4].flagged);
+  EXPECT_TRUE(runs[0][11].flagged);
 }
 
 TEST(AnomalyDetectorTest, TinyCohortsAreNotScored) {
