@@ -40,10 +40,12 @@ inline ExperimentConfig make_config(ModelKind model) {
   if (const char* reset = std::getenv("FLEDA_RESET_OPTIMIZER")) {
     cfg.reset_optimizer = std::atoi(reset) != 0;
   }
-  // FLEDA_STREAMING=1 — opt into the streaming sharded aggregation
-  // path (fold each decoded upload into per-lane accumulators instead
-  // of materializing the cohort; see README "Scaling"). Same result up
-  // to float reassociation, NOT bit-identical to the dense path.
+  // FLEDA_STREAMING=1 — fold each decoded upload into the rule's
+  // native per-lane accumulator instead of the buffered one that keeps
+  // the cohort (see README "Scaling"). It chooses only the
+  // accumulator: an attached anomaly detector and the Krum family keep
+  // the buffered one. Same result up to float reassociation, NOT
+  // bit-identical to the buffered (dense) result.
   if (const char* streaming = std::getenv("FLEDA_STREAMING")) {
     cfg.aggregation.streaming = std::atoi(streaming) != 0;
   }

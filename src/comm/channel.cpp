@@ -119,7 +119,7 @@ std::vector<std::shared_ptr<const ModelParameters>> Channel::broadcast(
   // their recipients share the one decoded copy. Without a delta
   // downlink the reference is always null, so this degenerates to
   // distinct snapshots. Distinct payloads go through the codec in
-  // parallel, mirroring collect().
+  // parallel, mirroring collect_streaming().
   using PayloadKey = std::pair<const ModelParameters*, const ModelParameters*>;
   std::vector<PayloadKey> distinct;
   std::map<PayloadKey, std::size_t> index;
@@ -198,78 +198,6 @@ ModelParameters Channel::uplink_roundtrip(std::size_t client,
     residuals_[client] = std::move(residual);
   }
   return decoded;
-}
-
-std::vector<ModelParameters> Channel::collect(
-    const std::vector<ModelParameters>& updates,
-    const std::vector<const ModelParameters*>& references) {
-  std::vector<std::size_t> senders(updates.size());
-  for (std::size_t k = 0; k < senders.size(); ++k) senders[k] = k;
-  return collect(updates, references, senders);
-}
-
-std::vector<ModelParameters> Channel::collect(
-    const std::vector<ModelParameters>& updates,
-    const std::vector<const ModelParameters*>& references,
-    const std::vector<std::size_t>& senders) {
-  if (updates.size() != references.size() ||
-      updates.size() != senders.size()) {
-    throw std::invalid_argument(
-        "Channel::collect: " + std::to_string(updates.size()) +
-        " updates vs " + std::to_string(references.size()) +
-        " references vs " + std::to_string(senders.size()) + " senders");
-  }
-  const std::size_t n = updates.size();
-  std::size_t max_client = 0;
-  for (std::size_t k : senders) max_client = std::max(max_client, k + 1);
-  ensure_clients(max_client);
-  std::vector<ModelParameters> received(n);
-  std::vector<std::uint64_t> bytes(n, 0), raw(n, 0);
-  // Encode client-side and decode server-side per update; the pool
-  // parallelizes across clients (distinct sender indices touch
-  // distinct residual slots, so the error-feedback state is safe; the
-  // stats are reduced serially below).
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      received[i] = uplink_roundtrip(senders[i], updates[i], references[i],
-                                     &bytes[i], &raw[i]);
-    }
-  });
-  for (std::size_t i = 0; i < n; ++i) bill_uplink(senders[i], bytes[i], raw[i]);
-  return received;
-}
-
-std::vector<ModelParameters> Channel::collect(
-    std::vector<ModelParameters>&& updates,
-    const std::vector<const ModelParameters*>& references,
-    const std::vector<std::size_t>& senders) {
-  if (updates.size() != references.size() ||
-      updates.size() != senders.size()) {
-    throw std::invalid_argument(
-        "Channel::collect: " + std::to_string(updates.size()) +
-        " updates vs " + std::to_string(references.size()) +
-        " references vs " + std::to_string(senders.size()) + " senders");
-  }
-  const std::size_t n = updates.size();
-  std::size_t max_client = 0;
-  for (std::size_t k : senders) max_client = std::max(max_client, k + 1);
-  ensure_clients(max_client);
-  std::vector<ModelParameters> received(n);
-  std::vector<std::uint64_t> bytes(n, 0), raw(n, 0);
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      // The raw update dies as soon as its wire copy exists: `u` takes
-      // the buffers out of the caller's vector and drops them at the
-      // end of the iteration, so peak memory is one cohort of decoded
-      // updates plus the in-flight few, not raw + decoded side by side.
-      const ModelParameters u = std::move(updates[i]);
-      received[i] =
-          uplink_roundtrip(senders[i], u, references[i], &bytes[i], &raw[i]);
-    }
-  });
-  updates.clear();
-  for (std::size_t i = 0; i < n; ++i) bill_uplink(senders[i], bytes[i], raw[i]);
-  return received;
 }
 
 void Channel::collect_streaming(

@@ -397,12 +397,63 @@ std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes) {
   return offsets;
 }
 
+namespace {
+
+// Keeps every fold; finish() is the rule's own aggregate() over them.
+class BufferedAccumulator final : public StreamingAccumulator {
+ public:
+  BufferedAccumulator(const AggregationRule& rule,
+                      const ModelParameters& current)
+      : rule_(&rule), current_(&current) {}
+
+  void fold(ModelParameters update, double weight, int staleness,
+            int client) override {
+    entries_.push_back({std::move(update), weight, staleness, client});
+  }
+
+  void merge(StreamingAccumulator& other) override {
+    auto* peer = dynamic_cast<BufferedAccumulator*>(&other);
+    if (peer == nullptr || peer->rule_ != rule_) {
+      throw std::invalid_argument(
+          rule_->name() + ": merge with a different rule's accumulator");
+    }
+    for (Entry& e : peer->entries_) entries_.push_back(std::move(e));
+    peer->entries_.clear();
+  }
+
+  std::size_t folds() const override { return entries_.size(); }
+
+  ModelParameters finish() override {
+    std::vector<AggregationInput> cohort;
+    cohort.reserve(entries_.size());
+    for (const Entry& e : entries_) {
+      cohort.push_back({&e.params, e.weight, e.staleness, e.client});
+    }
+    return rule_->aggregate(*current_, cohort);
+  }
+
+ private:
+  struct Entry {
+    ModelParameters params;
+    double weight;
+    int staleness;
+    int client;
+  };
+  const AggregationRule* rule_;
+  const ModelParameters* current_;
+  std::vector<Entry> entries_;
+};
+
+}  // namespace
+
 std::unique_ptr<StreamingAccumulator> AggregationRule::accumulator(
-    const ModelParameters& /*current*/, const ShardLayout& /*layout*/) const {
-  throw std::logic_error(
-      name() +
-      ": no streaming accumulator — this rule scores the cohort as a whole "
-      "(requires_dense() == true); callers must keep the batch path");
+    const ModelParameters& current, const ShardLayout& /*layout*/) const {
+  return buffered_accumulator(current);
+}
+
+std::unique_ptr<StreamingAccumulator> AggregationRule::buffered_accumulator(
+    const ModelParameters& current) const {
+  return std::make_unique<BufferedAccumulator>(*this, current);
 }
 
 namespace {
@@ -568,7 +619,7 @@ class MeanStreamAccumulator final : public StreamingAccumulator {
  public:
   explicit MeanStreamAccumulator(std::size_t shards) : shards_(shards) {}
 
-  void fold(const ModelParameters& update, double weight, int /*staleness*/,
+  void fold(ModelParameters update, double weight, int /*staleness*/,
             int client) override {
     ProfileScope prof(phase::kAggregate);
     check_fold("WeightedAverage", update, weight, client);
@@ -631,7 +682,7 @@ class ClippedStreamAccumulator final : public StreamingAccumulator {
     sums_.init(current);
   }
 
-  void fold(const ModelParameters& update, double weight, int /*staleness*/,
+  void fold(ModelParameters update, double weight, int /*staleness*/,
             int client) override {
     ProfileScope prof(phase::kAggregate);
     check_fold("NormClippedMean", update, weight, client);
@@ -703,7 +754,7 @@ class MixStreamAccumulator final : public StreamingAccumulator {
     sums_.init(current);
   }
 
-  void fold(const ModelParameters& update, double weight, int staleness,
+  void fold(ModelParameters update, double weight, int staleness,
             int client) override {
     ProfileScope prof(phase::kAggregate);
     check_fold("StalenessDiscountedMix", update, weight, client);
@@ -776,7 +827,7 @@ class SketchStreamAccumulator final : public StreamingAccumulator {
     }
   }
 
-  void fold(const ModelParameters& update, double weight, int /*staleness*/,
+  void fold(ModelParameters update, double weight, int /*staleness*/,
             int client) override {
     ProfileScope prof(phase::kAggregate);
     check_fold(rule_, update, weight, client);

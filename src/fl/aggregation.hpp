@@ -65,14 +65,15 @@ struct AggregationInput {
   int client = -1;
 };
 
-// Fixed fold-lane count of the streaming aggregation path. Lanes — not
-// thread-pool chunks — are the unit of parallel folding: the cohort is
-// partitioned into kFoldLanes contiguous blocks, each lane folds its
+// Fixed fold-lane count of the native streaming accumulators. Lanes —
+// not thread-pool chunks — are the unit of parallel folding: the cohort
+// is partitioned into kFoldLanes contiguous blocks, each lane folds its
 // block serially in cohort order into its own accumulator, and the
 // coordinator merges the lanes in lane order. Because the partition and
 // both fold/merge orders are pure functions of the cohort (never of
 // thread scheduling), streaming results are bit-identical across
-// thread-pool sizes.
+// thread-pool sizes. Buffered rounds do not depend on the partition at
+// all, so they may size their lanes from the pool instead.
 inline constexpr std::size_t kFoldLanes = 8;
 
 // How a streaming aggregation is laid out: how many folds to expect,
@@ -98,20 +99,23 @@ std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes);
 // after), sibling lanes are merged in lane order, and finish() emits
 // the aggregated model. Obtained from AggregationRule::accumulator();
 // not thread-safe — each lane owns one, and merge()/finish() run on
-// the coordinator after all folds complete. Server memory for a round
-// becomes O(lanes x model) (plus O(shards x threads) transient scratch
-// in finish), independent of cohort size.
+// the coordinator after all folds complete. With a native accumulator
+// server memory for a round is O(lanes x model) (plus O(shards x
+// threads) transient scratch in finish), independent of cohort size;
+// the buffered one holds the cohort, like a dense aggregate() call.
 class StreamingAccumulator {
  public:
   virtual ~StreamingAccumulator() = default;
 
-  // Folds one client's contribution. Mirrors the dense rules' guards:
-  // throws std::invalid_argument on a null-structure/NaN/Inf update, a
+  // Folds one client's contribution; callers move the update in.
+  // Native accumulators mirror the dense rules' guards here: they throw
+  // std::invalid_argument on a null-structure/NaN/Inf update, a
   // negative or non-finite weight, or a structure mismatch, naming
-  // `client` (negative = unknown). `staleness` feeds mixing rules'
-  // discount; synchronous callers pass 0.
-  virtual void fold(const ModelParameters& update, double weight,
-                    int staleness, int client) = 0;
+  // `client` (negative = unknown). The buffered accumulator keeps the
+  // update and leaves every guard to aggregate() in finish().
+  // `staleness` feeds mixing rules' discount; synchronous callers pass 0.
+  virtual void fold(ModelParameters update, double weight, int staleness,
+                    int client) = 0;
 
   // Absorbs a sibling lane's partials (same rule, same layout). The
   // caller merges lanes in ascending lane order; `other` is left empty.
@@ -139,21 +143,27 @@ class AggregationRule {
   // apply a rule to their buffered deltas.
   virtual bool folds_into_current() const { return false; }
 
-  // Whether the rule needs the whole cohort materialized at once.
-  // Krum-family rules score pairwise distances and keep the batch
-  // path; rules with a streaming form (weighted_average,
-  // norm_clipped_mean, staleness_mix natively; coordinate_median /
-  // trimmed_mean via a histogram sketch) return false and implement
-  // accumulator().
-  virtual bool requires_dense() const { return true; }
-
   // A fresh partial accumulator for one fold lane. `current` is the
   // model being replaced (the delta/clipping reference; it must
   // outlive the accumulator — round loops keep the global model alive
-  // across the round). Default: throws std::logic_error — callers must
-  // check requires_dense() first.
+  // across the round). Rules with a native streaming form override
+  // this (weighted_average, norm_clipped_mean, staleness_mix exactly
+  // up to summation order; coordinate_median / trimmed_mean via a
+  // histogram sketch). The default is buffered_accumulator(), so every
+  // rule — Krum included — aggregates through the same fold/merge/
+  // finish protocol.
   virtual std::unique_ptr<StreamingAccumulator> accumulator(
       const ModelParameters& current, const ShardLayout& layout) const;
+
+  // The buffered accumulator: fold keeps each update with its weight,
+  // staleness and client; merge appends the peer lane's entries, so
+  // lanes merged in lane order hold the cohort in cohort order; finish()
+  // returns aggregate(current, entries). Results, guards and error
+  // messages are therefore exactly the dense rule's, for any lane
+  // split. Holds the server's cohort in memory (O(cohort x model)).
+  // This rule and `current` must outlive the accumulator.
+  std::unique_ptr<StreamingAccumulator> buffered_accumulator(
+      const ModelParameters& current) const;
 
   // Combines the cohort into the next model. `current` is the model
   // being replaced; plain averaging rules ignore it, clipping rules use
@@ -169,7 +179,6 @@ class AggregationRule {
 class WeightedAverage : public AggregationRule {
  public:
   std::string name() const override { return "weighted_average"; }
-  bool requires_dense() const override { return false; }
   // Streaming form: per-coordinate double running sums of w_k * w^k
   // plus a scalar total weight; finish() scales by 1 / total. Exact up
   // to summation order (doubles absorb the reassociation), so it
@@ -193,7 +202,6 @@ class CoordinateMedian : public AggregationRule {
   explicit CoordinateMedian(int sketch_bins = 32, double sketch_span = 0.25);
 
   std::string name() const override { return "coordinate_median"; }
-  bool requires_dense() const override { return false; }
   // Streaming form: a per-coordinate fixed-bin histogram sketch over
   // [current[c] - span, current[c] + span] (values outside clamp to the
   // edge bins); finish() reads the median off the bin ranks, answering
@@ -226,7 +234,6 @@ class TrimmedMean : public AggregationRule {
 
   std::string name() const override { return "trimmed_mean"; }
   double trim_fraction() const { return trim_fraction_; }
-  bool requires_dense() const override { return false; }
   // Streaming form: the same histogram sketch as CoordinateMedian;
   // finish() averages the mass of ranks [g, n - g) per coordinate by
   // walking the bins' cumulative counts (bucket midpoints as values).
@@ -254,7 +261,6 @@ class NormClippedMean : public AggregationRule {
 
   std::string name() const override { return "norm_clipped_mean"; }
   double clip_norm() const { return clip_norm_; }
-  bool requires_dense() const override { return false; }
   // Streaming form: fold computes the clipped delta against `current`
   // immediately (clip factor needs only the one update) and running-sums
   // w_k * clip_k * delta_k in doubles; finish() adds the scaled sum back
@@ -343,7 +349,6 @@ class StalenessDiscountedMix : public AggregationRule {
 
   std::string name() const override { return "staleness_mix"; }
   bool folds_into_current() const override { return true; }
-  bool requires_dense() const override { return false; }
   // Streaming form: folds are DELTAS (like aggregate()'s cohort);
   // running sum of u_i * d_i with u_i = weight * s(staleness); finish()
   // returns current + server_mix * sum / total_u.
@@ -379,11 +384,15 @@ struct AggregationConfig {
   // means configuring it here.
   StalenessPolicy staleness;
   double server_mix = 0.5;
-  // Route round loops through the StreamingAccumulator path when the
-  // rule supports it (requires_dense() == false). Off by default: the
-  // streaming math reassociates sums (double partials), so results
-  // match dense to float rounding but not bit-for-bit, and the dense
-  // K = 1000 reference fingerprint must not move.
+  // Every round loop folds its cohort through a StreamingAccumulator;
+  // this chooses which one. On: the rule's native accumulator (O(lanes
+  // x model) server memory). Off, or with an anomaly detector attached
+  // (it scores the whole cohort): the buffered accumulator, whose
+  // finish() is the dense aggregate(). Rules without a native form
+  // (Krum family) are buffered either way. Off by default: native
+  // accumulators reassociate sums (double partials), so results match
+  // dense to float rounding but not bit-for-bit, and the dense K = 1000
+  // reference fingerprint must not move.
   bool streaming = false;
   // Merge/finish element-wise parallelism for the streaming path
   // (FLEDA_AGG_SHARDS). 0 = auto. Never changes results.

@@ -30,33 +30,22 @@ std::vector<ModelParameters> AssignedClustering::run_rounds(
 
   const std::vector<double> weights = Server::client_weights(clients);
   const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
+  const RoundFold fold = round_fold(opts, *rule, sim);
   for (int r = 0; r < opts.rounds; ++r) {
     const std::vector<std::size_t> cohort =
         select_cohort(participation, r, clients.size(), opts, sim);
+    // Each sampled member trains its fixed cluster's model; a cluster
+    // with nobody sampled keeps its model.
+    std::vector<std::size_t> cluster_of;
     std::vector<const ModelParameters*> deployed;
+    cluster_of.reserve(cohort.size());
     deployed.reserve(cohort.size());
     for (std::size_t k : cohort) {
-      deployed.push_back(
-          &cluster_models[static_cast<std::size_t>(assignment_[k])]);
+      cluster_of.push_back(static_cast<std::size_t>(assignment_[k]));
+      deployed.push_back(&cluster_models[cluster_of.back()]);
     }
-    std::vector<ModelParameters> updates =
-        cohort_local_updates(clients, cohort, deployed, opts.client, sim);
-
-    // Per-cluster aggregation over this round's sampled members,
-    // through the configured rule; a cluster with nobody sampled keeps
-    // its model.
-    for (int c = 0; c < num_clusters; ++c) {
-      std::vector<AggregationInput> members;
-      for (std::size_t i = 0; i < cohort.size(); ++i) {
-        if (assignment_[cohort[i]] == c) {
-          members.push_back({&updates[i], weights[cohort[i]], 0,
-                             static_cast<int>(cohort[i])});
-        }
-      }
-      if (members.empty()) continue;
-      cluster_models[static_cast<std::size_t>(c)] = rule->aggregate(
-          cluster_models[static_cast<std::size_t>(c)], members);
-    }
+    cluster_round(clients, cohort, sim.channel().broadcast(deployed, cohort),
+                  cluster_of, cluster_models, weights, fold, opts.client, sim);
 
     if (opts.on_round) {
       std::vector<ModelParameters> snapshot;

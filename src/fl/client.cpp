@@ -34,11 +34,6 @@ Client::Client(int id, const ClientDataset* data,
   }
 }
 
-Client::Client(int id, const ClientDataset* data, const ModelFactory& factory,
-               Rng rng, ClientInitSchema schema)
-    : Client(id, data, std::make_shared<ModelPool>(factory), std::move(rng),
-             schema) {}
-
 ModelParameters Client::train_steps(const ModelParameters& start, int steps,
                                     const ClientTrainConfig& cfg,
                                     const ModelParameters* anchor) {

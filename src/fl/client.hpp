@@ -53,12 +53,6 @@ class Client {
   Client(int id, const ClientDataset* data, std::shared_ptr<ModelPool> pool,
          Rng rng, ClientInitSchema schema = ClientInitSchema::kReplayInit);
 
-  // Convenience: a private single-client pool over `factory`. Memory
-  // behaves like the seed implementation (at most one scratch model per
-  // client); prefer the shared-pool constructor for large federations.
-  Client(int id, const ClientDataset* data, const ModelFactory& factory,
-         Rng rng, ClientInitSchema schema = ClientInitSchema::kReplayInit);
-
   // Movable (clients live in vectors), not copyable.
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;

@@ -1,7 +1,6 @@
 #include "fl/ifca.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -24,27 +23,13 @@ std::vector<ModelParameters> IFCA::run_rounds(
 
   const std::vector<double> weights = Server::client_weights(clients);
   const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
-  const bool streaming = streaming_rounds(opts, *rule, sim);
+  const RoundFold fold = round_fold(opts, *rule, sim);
   assignment_.assign(clients.size(), 0);
   const std::size_t C = static_cast<std::size_t>(num_clusters_);
 
   for (int r = 0; r < opts.rounds; ++r) {
     const std::vector<std::size_t> cohort =
         select_cohort(participation, r, clients.size(), opts, sim);
-    if (cohort.empty()) {
-      // Nobody reachable: every cluster model carries over (same
-      // semantics as a dead cluster), the round still closes.
-      sim.finish_sync_round(opts.client.steps, cohort);
-      if (opts.on_round) {
-        std::vector<ModelParameters> snapshot;
-        for (std::size_t k = 0; k < clients.size(); ++k) {
-          snapshot.push_back(
-              cluster_models[static_cast<std::size_t>(assignment_[k])]);
-        }
-        opts.on_round(r, snapshot);
-      }
-      continue;
-    }
 
     // 1) Selection broadcast: IFCA ships ALL C cluster models to every
     // cohort member each round (its dominant communication cost —
@@ -79,115 +64,19 @@ std::vector<ModelParameters> IFCA::run_rounds(
     });
 
     // 3) Local training of the chosen cluster model — already on the
-    // client from the selection broadcast, so no second download.
-    std::vector<const ModelParameters*> deployed;
-    deployed.reserve(cohort.size());
+    // client from the selection broadcast, so no second download — and
+    // per-cluster aggregation through the configured rule (a cluster
+    // nobody chose keeps its model).
+    std::vector<std::size_t> cluster_of;
+    std::vector<std::shared_ptr<const ModelParameters>> chosen;
+    cluster_of.reserve(cohort.size());
+    chosen.reserve(cohort.size());
     for (std::size_t i = 0; i < cohort.size(); ++i) {
-      deployed.push_back(
-          waves[static_cast<std::size_t>(assignment_[cohort[i]])][i].get());
+      cluster_of.push_back(static_cast<std::size_t>(assignment_[cohort[i]]));
+      chosen.push_back(waves[cluster_of.back()][i]);
     }
-    // Byzantine members corrupt their upload (nonce = completed
-    // channel rounds, as in cohort_local_updates).
-    const std::uint64_t round_nonce = sim.channel().stats().rounds.size();
-    // Adaptive attackers' state slots, gathered on the coordinator
-    // thread (deque growth must not race the parallel loop).
-    std::vector<AttackState*> attack_states(cohort.size(), nullptr);
-    for (std::size_t i = 0; i < cohort.size(); ++i) {
-      if (sim.engine().profile(cohort[i]).attack.kind ==
-          AttackKind::kAdaptiveScaled) {
-        attack_states[i] = sim.attack_state(cohort[i]);
-      }
-    }
-    if (streaming) {
-      // Streaming steps 3-5 in one pass: each member trains inside its
-      // fold lane and its decoded upload folds straight into the lane's
-      // accumulator for the member's ASSIGNED cluster (each cluster's
-      // own model is the accumulator's delta/sketch anchor), then is
-      // freed. Per-cluster fold counts decide which clusters finish —
-      // a dead cluster keeps its model, exactly like the dense path.
-      ShardLayout layout;
-      layout.cohort_size = cohort.size();
-      layout.lanes = kFoldLanes;
-      layout.shards = opts.aggregation.shards;
-      const std::vector<std::size_t> lanes =
-          fold_lane_offsets(cohort.size(), layout.lanes);
-      std::vector<std::vector<std::unique_ptr<StreamingAccumulator>>> accs(
-          layout.lanes);
-      for (std::size_t l = 0; l < layout.lanes; ++l) {
-        accs[l].reserve(C);
-        for (std::size_t c = 0; c < C; ++c) {
-          accs[l].push_back(rule->accumulator(cluster_models[c], layout));
-        }
-      }
-      sim.channel().collect_streaming(
-          cohort, deployed, lanes,
-          [&](std::size_t i) {
-            const std::size_t k = cohort[i];
-            ModelParameters update =
-                clients[k].local_update(*deployed[i], opts.client);
-            const AttackSpec& attack = sim.engine().profile(k).attack;
-            if (attack.kind != AttackKind::kNone) {
-              update = apply_attack(attack, std::move(update), *deployed[i],
-                                    k, round_nonce, attack_states[i]);
-            }
-            return update;
-          },
-          [&](std::size_t lane, std::size_t i, ModelParameters&& decoded) {
-            const auto c =
-                static_cast<std::size_t>(assignment_[cohort[i]]);
-            accs[lane][c]->fold(decoded, weights[cohort[i]], /*staleness=*/0,
-                                static_cast<int>(cohort[i]));
-          });
-      sim.finish_sync_round(opts.client.steps, cohort);
-      for (std::size_t c = 0; c < C; ++c) {
-        for (std::size_t l = 1; l < layout.lanes; ++l) {
-          accs[0][c]->merge(*accs[l][c]);
-        }
-        if (accs[0][c]->folds() == 0) continue;  // dead cluster
-        cluster_models[c] = accs[0][c]->finish();
-      }
-    } else {
-      std::vector<ModelParameters> updates(cohort.size());
-      parallel_for(cohort.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t k = cohort[i];
-          updates[i] = clients[k].local_update(*deployed[i], opts.client);
-          const AttackSpec& attack = sim.engine().profile(k).attack;
-          if (attack.kind != AttackKind::kNone) {
-            updates[i] = apply_attack(attack, std::move(updates[i]),
-                                      *deployed[i], k, round_nonce,
-                                      attack_states[i]);
-          }
-        }
-      });
-
-      // 4) Uplink through the channel; the decoded deployment is the
-      // shared delta reference, then the barrier policy prices the round
-      // (each member's C serial downloads are in its billed traffic).
-      // Moving the raw updates lets the channel free each one at its
-      // roundtrip instead of holding raw + decoded cohorts at once.
-      updates = sim.channel().collect(std::move(updates), deployed, cohort);
-      // Detection sees the server-side view: decoded update vs the
-      // cluster model each member trained from.
-      sim.observe_cohort_updates(cohort, updates, deployed);
-      sim.finish_sync_round(opts.client.steps, cohort);
-
-      // 5) Per-cluster aggregation over this round's members, through
-      // the configured rule (the cluster's model is the delta reference
-      // for clipping rules).
-      for (int c = 0; c < num_clusters_; ++c) {
-        std::vector<AggregationInput> members;
-        for (std::size_t i = 0; i < cohort.size(); ++i) {
-          if (assignment_[cohort[i]] == c) {
-            members.push_back({&updates[i], weights[cohort[i]], 0,
-                               static_cast<int>(cohort[i])});
-          }
-        }
-        if (members.empty()) continue;  // dead cluster keeps its model
-        cluster_models[static_cast<std::size_t>(c)] = rule->aggregate(
-            cluster_models[static_cast<std::size_t>(c)], members);
-      }
-    }
+    cluster_round(clients, cohort, chosen, cluster_of, cluster_models,
+                  weights, fold, opts.client, sim);
 
     if (opts.on_round) {
       std::vector<ModelParameters> snapshot;

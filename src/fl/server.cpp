@@ -22,21 +22,6 @@ std::vector<double> Server::cohort_weights(
   return out;
 }
 
-ModelParameters Server::aggregate(const std::vector<ModelParameters>& updates,
-                                  const std::vector<double>& weights) {
-  if (updates.size() != weights.size()) {
-    throw std::invalid_argument(
-        "Server::aggregate: " + std::to_string(updates.size()) +
-        " updates but " + std::to_string(weights.size()) + " weights");
-  }
-  std::vector<AggregationInput> cohort;
-  cohort.reserve(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    cohort.push_back({&updates[i], weights[i], 0});
-  }
-  return WeightedAverage().aggregate(ModelParameters{}, cohort);
-}
-
 ModelParameters Server::aggregate(const AggregationRule& rule,
                                   const ModelParameters& current,
                                   const std::vector<ModelParameters>& updates,
@@ -59,28 +44,6 @@ ModelParameters Server::aggregate(const AggregationRule& rule,
     inputs.push_back({&updates[i], weights[i], 0, client});
   }
   return rule.aggregate(current, inputs);
-}
-
-ModelParameters Server::aggregate_subset(
-    const std::vector<ModelParameters>& updates,
-    const std::vector<double>& weights,
-    const std::vector<std::size_t>& members) {
-  if (members.empty()) {
-    throw std::invalid_argument(
-        "Server::aggregate_subset: empty member set — cannot average zero "
-        "clients (did a cluster lose all its members?)");
-  }
-  if (updates.size() != weights.size()) {
-    throw std::invalid_argument(
-        "Server::aggregate_subset: " + std::to_string(updates.size()) +
-        " updates but " + std::to_string(weights.size()) + " weights");
-  }
-  std::vector<AggregationInput> cohort;
-  cohort.reserve(members.size());
-  for (std::size_t m : members) {
-    cohort.push_back({&updates.at(m), weights.at(m), 0});
-  }
-  return WeightedAverage().aggregate(ModelParameters{}, cohort);
 }
 
 }  // namespace fleda

@@ -29,13 +29,6 @@ class Server {
       const std::vector<double>& weights,
       const std::vector<std::size_t>& cohort);
 
-  // Weighted FedAvg aggregation of client updates (WeightedAverage
-  // rule). Throws a descriptive std::invalid_argument on an empty
-  // update set or zero total weight — an all-offline sampled cohort
-  // must fail loudly, not divide by zero.
-  static ModelParameters aggregate(const std::vector<ModelParameters>& updates,
-                                   const std::vector<double>& weights);
-
   // Rule-threaded form: aggregates the cohort-indexed updates under
   // `rule`, with `current` as the model being replaced (the delta
   // reference for clipping rules; plain averages ignore it). `cohort`
@@ -48,12 +41,6 @@ class Server {
                                    const std::vector<double>& weights,
                                    const std::vector<std::size_t>& cohort);
 
-  // Aggregation over a subset (e.g. one cluster's members). `members`
-  // are indices into updates/weights.
-  static ModelParameters aggregate_subset(
-      const std::vector<ModelParameters>& updates,
-      const std::vector<double>& weights,
-      const std::vector<std::size_t>& members);
 };
 
 }  // namespace fleda

@@ -1,5 +1,6 @@
 #include "fl/trainer.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -121,11 +122,10 @@ std::vector<std::size_t> FederatedAlgorithm::select_cohort(
 
 namespace {
 
-// Shared by the dense and streaming round bodies. The channel's
-// parallel encode/decode touches per-client state (error-feedback
-// residuals, downlink references), which is only safe for distinct
-// indices — require the policies' strictly ascending order instead of
-// racing on duplicates.
+// The channel's per-lane encode/decode touches per-client state
+// (error-feedback residuals, downlink references), which is only safe
+// for distinct indices — require the policies' strictly ascending
+// order instead of racing on duplicates.
 void validate_cohort(const char* where, std::size_t num_clients,
                      const std::vector<std::size_t>& cohort) {
   for (std::size_t i = 0; i < cohort.size(); ++i) {
@@ -147,7 +147,7 @@ void validate_cohort(const char* where, std::size_t num_clients,
 // Adaptive attackers carry state (their trajectory estimate) across
 // rounds. Slot pointers are gathered on the coordinator thread —
 // growing the deque inside a parallel loop would race — and each slot
-// is touched only by its owning client's iteration.
+// is touched only by its owning client's lane.
 std::vector<AttackState*> gather_attack_states(
     FederationSim& sim, const std::vector<std::size_t>& cohort) {
   std::vector<AttackState*> states(cohort.size(), nullptr);
@@ -177,100 +177,44 @@ void record_cohort_telemetry(FederationSim& sim,
   }
 }
 
-}  // namespace
+// Receives one member's decoded upload on its lane's thread:
+// (lane, cohort position, decoded update).
+using UpdateConsumer =
+    std::function<void(std::size_t, std::size_t, ModelParameters&&)>;
 
-std::vector<ModelParameters> FederatedAlgorithm::cohort_local_updates(
+// The one synchronous round body. received[i] is the deployment client
+// cohort[i] decoded; inside lane l of `lanes` each member trains from
+// it, a Byzantine member corrupts its upload, the upload goes through
+// the uplink codec, and `consume` gets the decoded update. With a
+// detector attached each member's delta against received[i] is taken
+// in its lane and the cohort is scored once afterwards. Then the
+// cohort's telemetry is recorded and the barrier closes at the slowest
+// member.
+void train_cohort(
     std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (cohort.size() != deployed.size()) {
-    throw std::invalid_argument("cohort_local_updates: size mismatch");
+    const std::vector<std::shared_ptr<const ModelParameters>>& received,
+    const std::vector<std::size_t>& lanes, const ClientTrainConfig& cfg,
+    FederationSim& sim, const UpdateConsumer& consume) {
+  if (cohort.size() != received.size()) {
+    throw std::invalid_argument("train_cohort: size mismatch");
   }
-  validate_cohort("cohort_local_updates", clients.size(), cohort);
+  validate_cohort("train_cohort", clients.size(), cohort);
   Channel& channel = sim.channel();
-  // Downlink: cohort members train from what they decode, not from the
-  // server-side snapshot — a lossy codec's error feeds into training.
-  const std::vector<std::shared_ptr<const ModelParameters>> received =
-      channel.broadcast(deployed, cohort);
   // Byzantine behaviors fire between training and upload: a
   // compromised client trains honestly (its rng stream is unchanged)
   // and corrupts what it sends. Completed channel rounds disambiguate
   // repeated attacks by the same client (the noise-stream nonce).
   const std::uint64_t round_nonce = channel.stats().rounds.size();
   std::vector<AttackState*> attack_states = gather_attack_states(sim, cohort);
-  std::vector<ModelParameters> updates(cohort.size());
-  parallel_for(cohort.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t k = cohort[i];
-      updates[i] = clients[k].local_update(*received[i], cfg);
-      const AttackSpec& attack = sim.engine().profile(k).attack;
-      if (attack.kind != AttackKind::kNone) {
-        updates[i] = apply_attack(attack, std::move(updates[i]), *received[i],
-                                  k, round_nonce, attack_states[i]);
-      }
-    }
-  });
   // Uplink: the decoded deployment is the shared reference for delta
   // codecs (both sides hold it).
   std::vector<const ModelParameters*> references;
   references.reserve(received.size());
   for (const auto& r : received) references.push_back(r.get());
-  // Handing `updates` over lets the channel drop each raw update right
-  // after its wire roundtrip — without the move the round briefly held
-  // two full cohorts (raw + decoded), a 2x spike at exactly the
-  // all-cohorts-resident peak.
-  std::vector<ModelParameters> collected =
-      channel.collect(std::move(updates), references, cohort);
-  // Server-side detection sees exactly what the aggregator will see:
-  // the collected (decoded) updates against the deployed references.
-  sim.observe_cohort_updates(cohort, collected, references);
-  record_cohort_telemetry(sim, cohort);
-  // Barrier policy: the round's events run on the virtual clock and
-  // the round closes at the slowest cohort member's upload.
-  sim.finish_sync_round(cfg.steps, cohort);
-  return collected;
-}
-
-bool FederatedAlgorithm::streaming_rounds(const FLRunOptions& opts,
-                                          const AggregationRule& rule,
-                                          const FederationSim& sim) {
-  return opts.aggregation.streaming && !rule.requires_dense() &&
-         sim.anomaly_detector() == nullptr;
-}
-
-ModelParameters FederatedAlgorithm::streaming_cohort_round(
-    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-    const ModelParameters& global, const std::vector<double>& cohort_weights,
-    const AggregationRule& rule, const AggregationConfig& agg,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (cohort.size() != cohort_weights.size()) {
-    throw std::invalid_argument("streaming_cohort_round: size mismatch");
-  }
-  validate_cohort("streaming_cohort_round", clients.size(), cohort);
-  Channel& channel = sim.channel();
-  const std::vector<const ModelParameters*> deployed(cohort.size(), &global);
-  const std::vector<std::shared_ptr<const ModelParameters>> received =
-      channel.broadcast(deployed, cohort);
-  const std::uint64_t round_nonce = channel.stats().rounds.size();
-  std::vector<AttackState*> attack_states = gather_attack_states(sim, cohort);
-  std::vector<const ModelParameters*> references;
-  references.reserve(received.size());
-  for (const auto& r : received) references.push_back(r.get());
-  ShardLayout layout;
-  layout.cohort_size = cohort.size();
-  layout.lanes = kFoldLanes;
-  layout.shards = agg.shards;
-  const std::vector<std::size_t> lanes =
-      fold_lane_offsets(cohort.size(), layout.lanes);
-  std::vector<std::unique_ptr<StreamingAccumulator>> accs(layout.lanes);
-  for (std::size_t l = 0; l < accs.size(); ++l) {
-    accs[l] = rule.accumulator(global, layout);
-  }
-  // Each cohort member trains inside its fold lane (produce), so lane
-  // count is also the round's training parallelism; the decoded upload
-  // folds into the lane's accumulator (consume) and is freed before
-  // the lane's next member starts. At no point does more than
-  // lanes x (1 update + 1 accumulator) live on the server.
+  // Server-side detection sees exactly what the aggregator sees: the
+  // decoded update against the deployment the member trained from.
+  const bool observe = sim.anomaly_detector() != nullptr;
+  std::vector<ModelParameters> deltas(observe ? cohort.size() : 0);
   channel.collect_streaming(
       cohort, references, lanes,
       [&](std::size_t i) {
@@ -284,16 +228,140 @@ ModelParameters FederatedAlgorithm::streaming_cohort_round(
         return update;
       },
       [&](std::size_t lane, std::size_t i, ModelParameters&& decoded) {
-        accs[lane]->fold(decoded, cohort_weights[i], /*staleness=*/0,
-                         static_cast<int>(cohort[i]));
+        if (observe) {
+          deltas[i] = decoded;
+          if (deltas[i].structurally_equal(*references[i])) {
+            deltas[i].add_scaled(*references[i], -1.0);
+          }
+        }
+        consume(lane, i, std::move(decoded));
       });
-  record_cohort_telemetry(sim, cohort);
-  sim.finish_sync_round(cfg.steps, cohort);
-  // Lane order is the merge order — part of the deterministic contract.
-  for (std::size_t l = 1; l < accs.size(); ++l) {
-    accs[0]->merge(*accs[l]);
+  if (observe) {
+    std::vector<const ModelParameters*> delta_ptrs;
+    delta_ptrs.reserve(deltas.size());
+    for (const ModelParameters& d : deltas) delta_ptrs.push_back(&d);
+    sim.observe_cohort_deltas(cohort, delta_ptrs);
   }
-  return accs[0]->finish();
+  record_cohort_telemetry(sim, cohort);
+  // Barrier policy: the round's events run on the virtual clock and
+  // the round closes at the slowest cohort member's upload.
+  sim.finish_sync_round(cfg.steps, cohort);
+}
+
+// As many lanes as parallel_for would cut n items into (4 chunks per
+// pool thread), so a round whose result ignores the partition trains
+// with the pool's full parallelism on any host.
+std::vector<std::size_t> pool_lanes(std::size_t n) {
+  const std::size_t chunks = 4 * ThreadPool::global().size();
+  return fold_lane_offsets(n, std::max<std::size_t>(1, std::min(n, chunks)));
+}
+
+}  // namespace
+
+std::vector<std::size_t> FederatedAlgorithm::RoundFold::lanes(
+    std::size_t n) const {
+  return native ? fold_lane_offsets(n, kFoldLanes) : pool_lanes(n);
+}
+
+std::unique_ptr<StreamingAccumulator>
+FederatedAlgorithm::RoundFold::accumulator(const ModelParameters& current,
+                                           std::size_t n) const {
+  if (!native) return rule->buffered_accumulator(current);
+  ShardLayout layout;
+  layout.cohort_size = n;
+  layout.shards = shards;
+  return rule->accumulator(current, layout);
+}
+
+FederatedAlgorithm::RoundFold FederatedAlgorithm::round_fold(
+    const FLRunOptions& opts, const AggregationRule& rule,
+    const FederationSim& sim) {
+  RoundFold fold;
+  fold.rule = &rule;
+  fold.native =
+      opts.aggregation.streaming && sim.anomaly_detector() == nullptr;
+  fold.shards = opts.aggregation.shards;
+  return fold;
+}
+
+std::vector<std::unique_ptr<StreamingAccumulator>>
+FederatedAlgorithm::fold_cohort(
+    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+    const std::vector<std::shared_ptr<const ModelParameters>>& received,
+    const std::vector<std::size_t>& group_of,
+    const std::vector<const ModelParameters*>& anchors,
+    const std::vector<double>& weights, const RoundFold& fold,
+    const ClientTrainConfig& cfg, FederationSim& sim) {
+  const std::vector<std::size_t> lanes = fold.lanes(cohort.size());
+  const std::size_t num_lanes = lanes.size() - 1;
+  // accs[lane][group]
+  std::vector<std::vector<std::unique_ptr<StreamingAccumulator>>> accs(
+      num_lanes);
+  for (auto& lane : accs) {
+    for (const ModelParameters* anchor : anchors) {
+      lane.push_back(fold.accumulator(*anchor, cohort.size()));
+    }
+  }
+  const auto consume = [&](std::size_t lane, std::size_t i,
+                           ModelParameters&& decoded) {
+    const std::size_t k = cohort[i];
+    accs[lane][group_of[i]]->fold(std::move(decoded), weights[k],
+                                  /*staleness=*/0, static_cast<int>(k));
+  };
+  train_cohort(clients, cohort, received, lanes, cfg, sim, consume);
+  // Lane order is the merge order — part of the deterministic contract.
+  for (std::size_t l = 1; l < num_lanes; ++l) {
+    for (std::size_t g = 0; g < anchors.size(); ++g) {
+      accs[0][g]->merge(*accs[l][g]);
+    }
+  }
+  return std::move(accs[0]);
+}
+
+ModelParameters FederatedAlgorithm::global_round(
+    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+    const ModelParameters& global, const std::vector<double>& weights,
+    const RoundFold& fold, const ClientTrainConfig& cfg, FederationSim& sim) {
+  const std::vector<const ModelParameters*> deployed(cohort.size(), &global);
+  return fold_cohort(clients, cohort, sim.channel().broadcast(deployed, cohort),
+                     std::vector<std::size_t>(cohort.size(), 0), {&global},
+                     weights, fold, cfg, sim)[0]
+      ->finish();
+}
+
+void FederatedAlgorithm::cluster_round(
+    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+    const std::vector<std::shared_ptr<const ModelParameters>>& received,
+    const std::vector<std::size_t>& cluster_of,
+    std::vector<ModelParameters>& cluster_models,
+    const std::vector<double>& weights, const RoundFold& fold,
+    const ClientTrainConfig& cfg, FederationSim& sim) {
+  if (cluster_of.size() != cohort.size()) {
+    throw std::invalid_argument("cluster_round: size mismatch");
+  }
+  std::vector<const ModelParameters*> anchors;
+  for (const ModelParameters& m : cluster_models) anchors.push_back(&m);
+  std::vector<std::unique_ptr<StreamingAccumulator>> accs = fold_cohort(
+      clients, cohort, received, cluster_of, anchors, weights, fold, cfg, sim);
+  for (std::size_t c = 0; c < accs.size(); ++c) {
+    if (accs[c]->folds() == 0) continue;  // dead cluster keeps its model
+    cluster_models[c] = accs[c]->finish();
+  }
+}
+
+std::vector<ModelParameters> FederatedAlgorithm::cohort_local_updates(
+    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+    const std::vector<const ModelParameters*>& deployed,
+    const ClientTrainConfig& cfg, FederationSim& sim) {
+  // Downlink: cohort members train from what they decode, not from the
+  // server-side snapshot — a lossy codec's error feeds into training.
+  std::vector<ModelParameters> updates(cohort.size());
+  train_cohort(clients, cohort, sim.channel().broadcast(deployed, cohort),
+               pool_lanes(cohort.size()), cfg, sim,
+               [&](std::size_t, std::size_t i, ModelParameters&& decoded) {
+                 updates[i] = std::move(decoded);
+               });
+  return updates;
 }
 
 }  // namespace fleda

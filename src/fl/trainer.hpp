@@ -13,9 +13,18 @@
 // default (homogeneous, always-online) profiles and a lossless
 // channel, the sync path is bit-identical to a direct exchange — the
 // engine only attaches simulated time to it.
+//
+// Every synchronous round has one body (Fig. 1: deploy, train locally,
+// aggregate): each cohort member trains inside a fold lane of
+// Channel::collect_streaming, its decoded upload folds into a
+// StreamingAccumulator, and the lanes merge in lane order.
+// AggregationConfig::streaming only chooses the accumulator: the
+// rule's native one, or the buffered one whose finish() is the dense
+// aggregate(). An attached anomaly detector keeps the buffered one.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -133,42 +142,78 @@ class FederatedAlgorithm {
       std::size_t num_clients, const FLRunOptions& opts,
       const FederationSim& sim);
 
-  // Cohort form of the sync exchange round: deployed[i] goes to client
-  // cohort[i], only cohort members train, upload and are billed, and
-  // the barrier closes at the slowest *member* — the building block
-  // every synchronous algorithm now composes with a
-  // ParticipationPolicy. Returns cohort-indexed server-side updates.
+  // How a run's rounds fold their cohorts, chosen once per run by
+  // round_fold(): the rule's native streaming accumulator when
+  // opts.aggregation.streaming is on and no anomaly detector is
+  // attached, the rule's buffered accumulator otherwise (a detector
+  // scores the whole cohort; buffered finish() is the dense
+  // aggregate(), so dense results are bit-identical). Rules without a
+  // native form (Krum family) are buffered either way.
+  struct RoundFold {
+    const AggregationRule* rule = nullptr;
+    bool native = false;
+    std::size_t shards = 0;
+
+    // Fold-lane bounds over a cohort of n. Native accumulators use
+    // kFoldLanes (their partial sums depend on the partition, which
+    // must not depend on the pool); buffered results do not depend on
+    // it, so their lanes follow the thread pool and training keeps the
+    // pool's full parallelism.
+    std::vector<std::size_t> lanes(std::size_t n) const;
+    // One lane's accumulator anchored on `current` (which must outlive
+    // it), for a cohort of n.
+    std::unique_ptr<StreamingAccumulator> accumulator(
+        const ModelParameters& current, std::size_t n) const;
+  };
+  static RoundFold round_fold(const FLRunOptions& opts,
+                              const AggregationRule& rule,
+                              const FederationSim& sim);
+
+  // The synchronous round that every FedAvg-style loop runs: broadcasts
+  // `global` to the cohort, trains each member inside its fold lane,
+  // folds its decoded upload (weighted by weights[client], the
+  // federation-indexed sample counts) and returns the next global
+  // model. Throws like the rule on an empty cohort.
+  static ModelParameters global_round(
+      std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+      const ModelParameters& global, const std::vector<double>& weights,
+      const RoundFold& fold, const ClientTrainConfig& cfg, FederationSim& sim);
+
+  // The clustered form (IFCA, AssignedClustering): member i trains from
+  // received[i], the deployment it decoded (callers broadcast, so IFCA
+  // keeps its C-wave selection broadcast), and its upload folds into
+  // the accumulator of cluster cluster_of[i], anchored on that
+  // cluster's model. Every cluster with members is replaced by its
+  // aggregate; a cluster nobody trained keeps its model.
+  static void cluster_round(
+      std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+      const std::vector<std::shared_ptr<const ModelParameters>>& received,
+      const std::vector<std::size_t>& cluster_of,
+      std::vector<ModelParameters>& cluster_models,
+      const std::vector<double>& weights, const RoundFold& fold,
+      const ClientTrainConfig& cfg, FederationSim& sim);
+
+  // For loops that mix updates themselves (AlphaPortionSync,
+  // FedProxLG): deployed[i] goes to client cohort[i], the round runs
+  // like the two above, and the decoded updates come back
+  // cohort-indexed.
   static std::vector<ModelParameters> cohort_local_updates(
       std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
       const std::vector<const ModelParameters*>& deployed,
       const ClientTrainConfig& cfg, FederationSim& sim);
 
-  // Whether this run's synchronous rounds take the streaming
-  // accumulator path: opted in (opts.aggregation.streaming), a rule
-  // with a streaming form (requires_dense() == false), and no anomaly
-  // detector (detection scores the materialized cohort, so it pins the
-  // dense path). Evaluated once per run.
-  static bool streaming_rounds(const FLRunOptions& opts,
-                               const AggregationRule& rule,
-                               const FederationSim& sim);
-
-  // Streaming counterpart of cohort_local_updates + Server::aggregate
-  // in one pass: broadcasts `global` to the cohort, trains each member
-  // inside its fold lane, folds every decoded upload straight into a
-  // per-lane accumulator from `rule` and frees it, then merges the
-  // lanes in lane order and returns the aggregated next model — the
-  // cohort is never materialized, so server memory stays O(lanes x
-  // model) at any cohort size. cohort_weights[i] weights cohort[i].
-  // Bit-identical across thread-pool sizes (the lane partition is a
-  // pure function of the cohort), but NOT bit-identical to the dense
-  // path (double partial sums reassociate) — which is why the caller
-  // gates on streaming_rounds().
-  static ModelParameters streaming_cohort_round(
+ private:
+  // Shared by global_round and cluster_round: trains the cohort and
+  // folds member i's upload into group group_of[i]'s accumulator,
+  // anchored on anchors[group]; returns one lane-merged accumulator per
+  // group.
+  static std::vector<std::unique_ptr<StreamingAccumulator>> fold_cohort(
       std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-      const ModelParameters& global,
-      const std::vector<double>& cohort_weights, const AggregationRule& rule,
-      const AggregationConfig& agg, const ClientTrainConfig& cfg,
-      FederationSim& sim);
+      const std::vector<std::shared_ptr<const ModelParameters>>& received,
+      const std::vector<std::size_t>& group_of,
+      const std::vector<const ModelParameters*>& anchors,
+      const std::vector<double>& weights, const RoundFold& fold,
+      const ClientTrainConfig& cfg, FederationSim& sim);
 };
 
 }  // namespace fleda

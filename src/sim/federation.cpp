@@ -7,7 +7,6 @@
 
 #include "fl/anomaly.hpp"
 #include "obs/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fleda {
 
@@ -24,32 +23,6 @@ void FederationSim::set_anomaly(AnomalyDetector* detector,
                                 ReputationBook* reputation) {
   detector_ = detector;
   reputation_ = reputation;
-}
-
-void FederationSim::observe_cohort_updates(
-    const std::vector<std::size_t>& cohort,
-    const std::vector<ModelParameters>& updates,
-    const std::vector<const ModelParameters*>& references) {
-  if (detector_ == nullptr) return;
-  if (cohort.size() != updates.size() || cohort.size() != references.size()) {
-    throw std::invalid_argument(
-        "FederationSim::observe_cohort_updates: cohort/updates/references "
-        "size mismatch");
-  }
-  // One O(P) delta per update, each written only by its own index.
-  std::vector<ModelParameters> deltas(cohort.size());
-  std::vector<const ModelParameters*> delta_ptrs(cohort.size());
-  parallel_for(cohort.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      deltas[i] = updates[i];
-      if (references[i] != nullptr &&
-          deltas[i].structurally_equal(*references[i])) {
-        deltas[i].add_scaled(*references[i], -1.0);
-      }
-      delta_ptrs[i] = &deltas[i];
-    }
-  });
-  observe_cohort_deltas(cohort, delta_ptrs);
 }
 
 void FederationSim::observe_cohort_deltas(

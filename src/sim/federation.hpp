@@ -64,15 +64,9 @@ class FederationSim {
   AnomalyDetector* anomaly_detector() const { return detector_; }
   ReputationBook* reputation() const { return reputation_; }
 
-  // Scores one cohort's updates against the references each client
-  // trained from (deltas = update - reference, computed here), feeds
-  // verdicts to the reputation book and the telemetry sink. No-op when
-  // no detector is set. `references[i]` is the model deployed to
-  // cohort[i]; `updates[i]` its returned parameters.
-  void observe_cohort_updates(const std::vector<std::size_t>& cohort,
-                              const std::vector<ModelParameters>& updates,
-                              const std::vector<const ModelParameters*>& references);
-  // Same, for callers that already hold deltas (async buffers).
+  // Scores one cohort's update deltas (update - the model each client
+  // trained from), feeds verdicts to the reputation book and the
+  // telemetry sink. No-op when no detector is set.
   void observe_cohort_deltas(const std::vector<std::size_t>& clients,
                              const std::vector<const ModelParameters*>& deltas);
 

@@ -20,8 +20,10 @@
 
 #include "fl/aggregation.hpp"
 #include "fl/anomaly.hpp"
+#include "fl/assigned_clustering.hpp"
 #include "fl/async_fedavg.hpp"
 #include "fl/fedavg.hpp"
+#include "fl/ifca.hpp"
 #include "fl/participation.hpp"
 #include "fl/synthetic.hpp"
 #include "obs/telemetry.hpp"
@@ -513,6 +515,61 @@ TEST(DefenseWiring, DetectorCatchesTheStockSignFlipRun) {
   for (const RoundTelemetry& r : sink.rounds()) {
     EXPECT_EQ(r.attackers_true, 3);
     EXPECT_EQ(r.attackers_detected, 3);
+  }
+}
+
+TEST(DefenseWiring, ClusteredRoundsRecordCohortTelemetry) {
+  // IFCA and AssignedClustering run the shared sync round body, so
+  // every round records its cohort, the true attackers in it and one
+  // staleness entry per update — fully and under sampling.
+  AttackSpec attack;
+  attack.kind = AttackKind::kSignFlip;
+  SyntheticWorldOptions four;
+  four.num_clients = 4;
+  for (const int sample_size : {0, 3}) {
+    for (const bool ifca : {true, false}) {
+      SCOPED_TRACE(std::string(ifca ? "IFCA" : "AssignedClustering") +
+                   " sample_size=" + std::to_string(sample_size));
+      SyntheticWorld w = make_synthetic_world(73, four);
+      FLRunOptions opts = tiny_options(3);
+      opts.sim = SimConfig::uniform(4);
+      add_attackers(opts.sim, 1, attack);
+      if (sample_size > 0) {
+        opts.participation.kind = ParticipationKind::kUniformSample;
+        opts.participation.sample_size = sample_size;
+      }
+      TelemetrySink sink;
+      opts.telemetry = &sink;
+      if (ifca) {
+        IFCA(2).run(w.clients, w.factory, opts);
+      } else {
+        AssignedClustering({0, 0, 1, 1}).run(w.clients, w.factory, opts);
+      }
+
+      // The cohorts the run drew, replayed from an identical policy.
+      std::unique_ptr<ParticipationPolicy> policy =
+          make_participation_policy(opts.participation);
+      ASSERT_EQ(sink.rounds().size(), 3u);
+      for (int r = 0; r < 3; ++r) {
+        ParticipationContext ctx;
+        ctx.round = r;
+        ctx.num_clients = 4;
+        ctx.sim = &opts.sim;
+        const std::vector<std::size_t> cohort = policy->select(ctx);
+        int attackers = 0;
+        for (std::size_t k : cohort) {
+          if (opts.sim.profile(k).attack.kind != AttackKind::kNone) {
+            ++attackers;
+          }
+        }
+        const RoundTelemetry& t = sink.rounds()[static_cast<std::size_t>(r)];
+        EXPECT_EQ(t.cohort_size, static_cast<int>(cohort.size()))
+            << "round " << r;
+        EXPECT_EQ(t.attackers_true, attackers) << "round " << r;
+        EXPECT_EQ(t.staleness.total(), cohort.size()) << "round " << r;
+        EXPECT_EQ(t.staleness.counts[0], cohort.size()) << "round " << r;
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include "comm/codec.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/server.hpp"
+#include "fl/synthetic.hpp"
 #include "models/registry.hpp"
 
 namespace fleda {
@@ -34,6 +35,24 @@ double max_abs_error(const ModelParameters& a, const ModelParameters& b) {
     }
   }
   return worst;
+}
+
+// Uploads `updates` (updates[i] from senders[i], encoded against
+// references[i]) through the streaming collect split into `lanes`
+// fold lanes; returns the server-side views in cohort order.
+std::vector<ModelParameters> upload(
+    Channel& channel, const std::vector<std::size_t>& senders,
+    const std::vector<ModelParameters>& updates,
+    const std::vector<const ModelParameters*>& references,
+    std::size_t lanes = 2) {
+  std::vector<ModelParameters> received(senders.size());
+  channel.collect_streaming(
+      senders, references, fold_lane_offsets(senders.size(), lanes),
+      [&](std::size_t i) { return updates[i]; },
+      [&](std::size_t, std::size_t i, ModelParameters&& decoded) {
+        received[i] = std::move(decoded);
+      });
+  return received;
 }
 
 TEST(HalfFloat, ExactValuesRoundTrip) {
@@ -294,7 +313,7 @@ TEST(Channel, CohortBroadcastAndCollectBillOnlySampledClients) {
   std::vector<ModelParameters> updates = {*received[0], *received[1]};
   std::vector<const ModelParameters*> refs = {received[0].get(),
                                               received[1].get()};
-  channel.collect(updates, refs, {1, 3});
+  upload(channel, {1, 3}, updates, refs);
   const auto& traffic = channel.round_traffic();
   ASSERT_GE(traffic.size(), 4u);
   EXPECT_EQ(traffic[1].downlink_messages, 1u);
@@ -305,7 +324,8 @@ TEST(Channel, CohortBroadcastAndCollectBillOnlySampledClients) {
   EXPECT_EQ(traffic[2].downlink_messages, 0u);
   EXPECT_EQ(channel.stats().downlink_bytes, 2 * raw_wire_bytes(global));
   EXPECT_THROW(channel.broadcast(deployed, {1}), std::invalid_argument);
-  EXPECT_THROW(channel.collect(updates, refs, {1}), std::invalid_argument);
+  // One sender for two references.
+  EXPECT_THROW(upload(channel, {1}, updates, refs), std::invalid_argument);
 }
 
 TEST(Channel, SerialBroadcastWavesAccumulateLatency) {
@@ -338,7 +358,8 @@ TEST(Channel, CollectMetersUplinkAndRoundsAccumulate) {
 
   std::vector<ModelParameters> updates(2, snapshot(ModelKind::kFLNet, 15));
   std::vector<const ModelParameters*> refs(2, &reference);
-  std::vector<ModelParameters> received = channel.collect(updates, refs);
+  std::vector<ModelParameters> received =
+      upload(channel, {0, 1}, updates, refs);
   channel.end_round();
 
   const ChannelStats& stats = channel.stats();
@@ -350,59 +371,102 @@ TEST(Channel, CollectMetersUplinkAndRoundsAccumulate) {
   EXPECT_GT(stats.rounds[0].simulated_latency_s, 0.0);
   EXPECT_EQ(stats.simulated_latency_s, stats.rounds[0].simulated_latency_s);
 
-  EXPECT_THROW(channel.collect(updates, {&reference}), std::invalid_argument);
+  // Two senders for one reference.
+  EXPECT_THROW(upload(channel, {0, 1}, updates, {&reference}),
+               std::invalid_argument);
 }
 
-TEST(Server, AggregateValidatesSizes) {
+TEST(Channel, CollectStreamingKeepsErrorFeedbackResidualsPerSender) {
+  // Under a lossy uplink with error feedback, each sender's residual
+  // must carry over to that sender's next upload — whatever lane it
+  // lands in — exactly as if it had sent through send_up alone.
+  CommConfig config;
+  config.uplink = CodecKind::kTopKDelta;
+  config.topk_fraction = 0.05;
+  config.error_feedback = true;
+  const std::vector<std::size_t> senders = {0, 2, 5};
+  std::vector<ModelParameters> updates;
+  for (std::uint64_t s = 0; s < senders.size(); ++s) {
+    updates.push_back(snapshot(ModelKind::kFLNet, 30 + s));
+  }
+  const std::vector<const ModelParameters*> refs(senders.size(), nullptr);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    Channel streamed(config), single(config);
+    std::vector<ModelParameters> first;
+    for (int round = 0; round < 3; ++round) {
+      // Swap the lane split between rounds: residuals follow senders.
+      const std::vector<ModelParameters> got =
+          upload(streamed, senders, updates, refs, round % 2 ? 1 : lanes);
+      for (std::size_t i = 0; i < senders.size(); ++i) {
+        const ModelParameters want =
+            single.send_up(senders[i], updates[i], nullptr);
+        EXPECT_EQ(max_abs_error(got[i], want), 0.0)
+            << "round " << round << " sender " << senders[i];
+      }
+      if (round == 0) first = got;
+      // The same update decodes differently once a residual is added.
+      if (round == 1) EXPECT_GT(max_abs_error(got[0], first[0]), 0.0);
+      streamed.end_round();
+      single.end_round();
+    }
+    EXPECT_EQ(streamed.stats().uplink_bytes, single.stats().uplink_bytes);
+    EXPECT_EQ(streamed.stats().uplink_messages, 9u);
+  }
+}
+
+TEST(Channel, CollectStreamingBillsEachRoundIndependentlyOfLanes) {
+  // Billing is reduced per cohort position after the lanes settle, so
+  // every round bills |cohort| x model bytes under any lane split.
+  const ModelParameters update = snapshot(ModelKind::kFLNet, 17);
+  const std::uint64_t model_bytes = raw_wire_bytes(update);
+  Channel channel{CommConfig{}};
+  const std::vector<std::size_t> senders = {0, 1, 2, 3, 4};
+  const std::vector<ModelParameters> updates(senders.size(), update);
+  const std::vector<const ModelParameters*> refs(senders.size(), nullptr);
+  const std::vector<std::size_t> lane_counts = {1, 3, 8};
+  for (const std::size_t lanes : lane_counts) {
+    upload(channel, senders, updates, refs, lanes);
+    for (std::size_t k : senders) {
+      EXPECT_EQ(channel.round_traffic()[k].uplink_messages, 1u);
+      EXPECT_EQ(channel.round_traffic()[k].uplink_bytes, model_bytes);
+    }
+    channel.end_round();
+  }
+  const ChannelStats& stats = channel.stats();
+  ASSERT_EQ(stats.rounds.size(), lane_counts.size());
+  for (const RoundCommStats& r : stats.rounds) {
+    EXPECT_EQ(r.uplink_messages, senders.size());
+    EXPECT_EQ(r.uplink_bytes, senders.size() * model_bytes);
+  }
+  EXPECT_EQ(stats.uplink_bytes,
+            lane_counts.size() * senders.size() * model_bytes);
+}
+
+TEST(Server, RuleAggregateValidatesSizes) {
   const ModelParameters a = snapshot(ModelKind::kFLNet, 16);
   std::vector<ModelParameters> updates = {a, a};
-  EXPECT_THROW(Server::aggregate(updates, {1.0}), std::invalid_argument);
-  EXPECT_THROW(Server::aggregate_subset(updates, {1.0}, {0}),
+  const WeightedAverage rule;
+  // Fewer weights than updates.
+  EXPECT_THROW(Server::aggregate(rule, ModelParameters{}, updates, {1.0}, {}),
                std::invalid_argument);
+  // Fewer cohort indices than updates.
+  EXPECT_THROW(
+      Server::aggregate(rule, ModelParameters{}, updates, {1.0, 1.0}, {0}),
+      std::invalid_argument);
 }
 
 // --- end-to-end: FedAvg through a lossless channel is bit-identical
 // to the direct exchange (see fl_algorithms_test.cpp for the world
 // helper idiom).
 
-ClientDataset make_tiny_client(int id, float threshold, std::uint64_t seed) {
-  Rng rng(seed);
-  ClientDataset ds;
-  ds.client_id = id;
-  auto make_sample = [&]() {
-    Sample s;
-    s.features = Tensor(Shape{2, 8, 8});
-    s.label = Tensor(Shape{1, 8, 8});
-    for (std::int64_t i = 0; i < 64; ++i) {
-      const float v = static_cast<float>(rng.uniform());
-      s.features[i] = v;
-      s.features[64 + i] = static_cast<float>(rng.uniform());
-      s.label[i] = v > threshold ? 1.0f : 0.0f;
-    }
-    return s;
-  };
-  for (int i = 0; i < 6; ++i) ds.train.push_back(make_sample());
-  for (int i = 0; i < 3; ++i) ds.test.push_back(make_sample());
-  return ds;
-}
-
-struct TinyWorld {
-  std::vector<ClientDataset> data;
-  std::vector<Client> clients;
-  ModelFactory factory;
-};
-
-TinyWorld make_world(std::uint64_t seed) {
-  TinyWorld w;
-  w.data.push_back(make_tiny_client(1, 0.4f, seed + 1));
-  w.data.push_back(make_tiny_client(2, 0.6f, seed + 2));
-  w.factory = make_model_factory(ModelKind::kFLNet, 2);
-  Rng rng(seed);
-  for (std::size_t k = 0; k < w.data.size(); ++k) {
-    w.clients.emplace_back(w.data[k].client_id, &w.data[k], w.factory,
-                           rng.fork(k));
-  }
-  return w;
+// Two clients (label thresholds 0.4 and 0.6) sharing one scratch-model
+// pool.
+SyntheticWorld make_world(std::uint64_t seed) {
+  SyntheticWorldOptions options;
+  options.num_clients = 2;
+  options.threshold_step = 0.2f;
+  return make_synthetic_world(seed, options);
 }
 
 TEST(Channel, EndToEndLosslessFedAvgMatchesDirectPath) {
@@ -415,7 +479,7 @@ TEST(Channel, EndToEndLosslessFedAvgMatchesDirectPath) {
   opts.seed = 99;
 
   // Channel path (default CommConfig: fp32 up and down).
-  TinyWorld w1 = make_world(77);
+  SyntheticWorld w1 = make_world(77);
   ChannelStats stats;
   opts.comm_stats = &stats;
   FedAvg algo;
@@ -423,7 +487,7 @@ TEST(Channel, EndToEndLosslessFedAvgMatchesDirectPath) {
       algo.run(w1.clients, w1.factory, opts);
 
   // Direct path, re-implemented against the raw Client/Server API.
-  TinyWorld w2 = make_world(77);
+  SyntheticWorld w2 = make_world(77);
   Rng rng(opts.seed);
   RoutabilityModelPtr init = w2.factory(rng);
   ModelParameters global = ModelParameters::from_model(*init);
@@ -433,7 +497,11 @@ TEST(Channel, EndToEndLosslessFedAvgMatchesDirectPath) {
     for (Client& c : w2.clients) {
       updates.push_back(c.local_update(global, opts.client));
     }
-    global = Server::aggregate(updates, weights);
+    std::vector<AggregationInput> cohort;
+    for (std::size_t k = 0; k < updates.size(); ++k) {
+      cohort.push_back({&updates[k], weights[k], 0});
+    }
+    global = WeightedAverage().aggregate(ModelParameters{}, cohort);
   }
 
   ASSERT_EQ(channel_finals.size(), 2u);
@@ -463,7 +531,7 @@ TEST(Channel, EndToEndInt8ShrinksUploadsAndStillLearns) {
   opts.seed = 99;
   opts.comm.uplink = CodecKind::kInt8Quant;
 
-  TinyWorld w = make_world(81);
+  SyntheticWorld w = make_world(81);
   ChannelStats stats;
   opts.comm_stats = &stats;
   FedAvg algo;
@@ -543,7 +611,7 @@ TEST(ErrorFeedback, ClosesGapToLosslessUnderHighCompression) {
     opts.comm.uplink = uplink;
     opts.comm.topk_fraction = 0.1;
     opts.comm.error_feedback = feedback;
-    TinyWorld w = make_world(91);
+    SyntheticWorld w = make_world(91);
     FedAvg algo;
     std::vector<ModelParameters> finals = algo.run(w.clients, w.factory, opts);
     *avg_auc = 0.5 * (w.clients[0].evaluate_test_auc(finals[0]) +

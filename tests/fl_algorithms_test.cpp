@@ -21,6 +21,7 @@
 #include "fl/finetune.hpp"
 #include "fl/ifca.hpp"
 #include "fl/registry.hpp"
+#include "fl/synthetic.hpp"
 #include "models/pool.hpp"
 #include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
@@ -28,46 +29,15 @@
 namespace fleda {
 namespace {
 
-// A tiny linearly-learnable client dataset: label = 1 where channel 0
-// exceeds a client-specific threshold (heterogeneity across clients).
-ClientDataset make_tiny_client(int id, float threshold, std::uint64_t seed,
-                               int train_samples = 6, int test_samples = 3) {
-  Rng rng(seed);
-  ClientDataset ds;
-  ds.client_id = id;
-  auto make_sample = [&]() {
-    Sample s;
-    s.features = Tensor(Shape{2, 8, 8});
-    s.label = Tensor(Shape{1, 8, 8});
-    for (std::int64_t i = 0; i < 64; ++i) {
-      const float v = static_cast<float>(rng.uniform());
-      s.features[i] = v;
-      s.features[64 + i] = static_cast<float>(rng.uniform());
-      s.label[i] = v > threshold ? 1.0f : 0.0f;
-    }
-    return s;
-  };
-  for (int i = 0; i < train_samples; ++i) ds.train.push_back(make_sample());
-  for (int i = 0; i < test_samples; ++i) ds.test.push_back(make_sample());
-  return ds;
-}
-
-struct TinyWorld {
-  std::vector<ClientDataset> data;
-  std::vector<Client> clients;
-  ModelFactory factory;
-  std::shared_ptr<ModelPool> pool;  // set only by make_pooled_world
-};
-
 // One fixture, two memory layouts. "Owned" (shared_pool = false):
-// every client gets a private scratch pool — the seed implementation's
-// one-model-per-client behavior. "Pooled": all clients borrow from one
-// shared scratch pool (w.pool).
-TinyWorld make_world(std::uint64_t seed = 1, bool shared_pool = false) {
-  TinyWorld w;
-  w.data.push_back(make_tiny_client(1, 0.4f, seed + 1));
-  w.data.push_back(make_tiny_client(2, 0.5f, seed + 2));
-  w.data.push_back(make_tiny_client(3, 0.6f, seed + 3, /*train=*/9));
+// every client gets its own one-client scratch pool — the seed
+// implementation's one-model-per-client behavior. "Pooled": all
+// clients borrow from one shared scratch pool (w.pool).
+SyntheticWorld make_world(std::uint64_t seed = 1, bool shared_pool = false) {
+  SyntheticWorld w;
+  w.data.push_back(make_synthetic_client(1, 0.4f, seed + 1));
+  w.data.push_back(make_synthetic_client(2, 0.5f, seed + 2));
+  w.data.push_back(make_synthetic_client(3, 0.6f, seed + 3, /*train=*/9));
   w.factory = make_model_factory(ModelKind::kFLNet, 2);
   if (shared_pool) w.pool = std::make_shared<ModelPool>(w.factory);
   Rng rng(seed);
@@ -76,14 +46,15 @@ TinyWorld make_world(std::uint64_t seed = 1, bool shared_pool = false) {
       w.clients.emplace_back(w.data[k].client_id, &w.data[k], w.pool,
                              rng.fork(k));
     } else {
-      w.clients.emplace_back(w.data[k].client_id, &w.data[k], w.factory,
+      w.clients.emplace_back(w.data[k].client_id, &w.data[k],
+                             std::make_shared<ModelPool>(w.factory),
                              rng.fork(k));
     }
   }
   return w;
 }
 
-TinyWorld make_pooled_world(std::uint64_t seed = 1) {
+SyntheticWorld make_pooled_world(std::uint64_t seed = 1) {
   return make_world(seed, /*shared_pool=*/true);
 }
 
@@ -99,7 +70,7 @@ FLRunOptions tiny_options(int rounds = 2) {
 }
 
 TEST(Client, LocalUpdateChangesParametersAndReportsLoss) {
-  TinyWorld w = make_world(11);
+  SyntheticWorld w = make_world(11);
   Rng rng(5);
   RoutabilityModelPtr init = w.factory(rng);
   ModelParameters start = ModelParameters::from_model(*init);
@@ -109,8 +80,8 @@ TEST(Client, LocalUpdateChangesParametersAndReportsLoss) {
 }
 
 TEST(Client, LargeMuKeepsLocalModelNearAnchor) {
-  TinyWorld small = make_world(13);
-  TinyWorld big = make_world(13);
+  SyntheticWorld small = make_world(13);
+  SyntheticWorld big = make_world(13);
   Rng rng(5);
   RoutabilityModelPtr init = small.factory(rng);
   ModelParameters start = ModelParameters::from_model(*init);
@@ -126,7 +97,7 @@ TEST(Client, LargeMuKeepsLocalModelNearAnchor) {
 }
 
 TEST(Client, EvaluateTestAucInRange) {
-  TinyWorld w = make_world(17);
+  SyntheticWorld w = make_world(17);
   Rng rng(5);
   RoutabilityModelPtr init = w.factory(rng);
   double auc =
@@ -136,7 +107,7 @@ TEST(Client, EvaluateTestAucInRange) {
 }
 
 TEST(FedAvg, AllClientsReceiveSameFinalModel) {
-  TinyWorld w = make_world(19);
+  SyntheticWorld w = make_world(19);
   FedAvg algo;
   std::vector<ModelParameters> finals =
       algo.run(w.clients, w.factory, tiny_options());
@@ -147,7 +118,7 @@ TEST(FedAvg, AllClientsReceiveSameFinalModel) {
 
 TEST(FedAvg, SingleClientEqualsItsOwnUpdate) {
   // With K = 1 the aggregate is exactly the client's local update.
-  TinyWorld w = make_world(23);
+  SyntheticWorld w = make_world(23);
   std::vector<Client> one;
   one.push_back(std::move(w.clients[0]));
 
@@ -157,7 +128,7 @@ TEST(FedAvg, SingleClientEqualsItsOwnUpdate) {
   std::vector<ModelParameters> finals = algo.run(one, w.factory, opts);
 
   // Re-run the same local computation manually.
-  TinyWorld w2 = make_world(23);
+  SyntheticWorld w2 = make_world(23);
   Rng rng(opts.seed);
   RoutabilityModelPtr init = w2.factory(rng);
   ClientTrainConfig cfg = opts.client;
@@ -168,7 +139,7 @@ TEST(FedAvg, SingleClientEqualsItsOwnUpdate) {
 }
 
 TEST(FedProx, RoundCallbackFiresEachRound) {
-  TinyWorld w = make_world(29);
+  SyntheticWorld w = make_world(29);
   FLRunOptions opts = tiny_options(3);
   int calls = 0;
   opts.on_round = [&](int round, const std::vector<ModelParameters>& models) {
@@ -183,8 +154,8 @@ TEST(FedProx, RoundCallbackFiresEachRound) {
 }
 
 TEST(FedProx, DeterministicAcrossRuns) {
-  TinyWorld w1 = make_world(31);
-  TinyWorld w2 = make_world(31);
+  SyntheticWorld w1 = make_world(31);
+  SyntheticWorld w2 = make_world(31);
   FedProx a1, a2;
   std::vector<ModelParameters> f1 = a1.run(w1.clients, w1.factory, tiny_options());
   std::vector<ModelParameters> f2 = a2.run(w2.clients, w2.factory, tiny_options());
@@ -192,7 +163,7 @@ TEST(FedProx, DeterministicAcrossRuns) {
 }
 
 TEST(FedProxLG, LocalPartsStayPrivate) {
-  TinyWorld w = make_world(37);
+  SyntheticWorld w = make_world(37);
   FedProxLG algo;
   std::vector<ModelParameters> finals =
       algo.run(w.clients, w.factory, tiny_options());
@@ -214,7 +185,7 @@ TEST(FedProxLG, LocalPartsStayPrivate) {
 }
 
 TEST(IFCA, AssignsEveryClientAValidCluster) {
-  TinyWorld w = make_world(41);
+  SyntheticWorld w = make_world(41);
   IFCA algo(/*num_clusters=*/2, /*selection_batches=*/2);
   std::vector<ModelParameters> finals =
       algo.run(w.clients, w.factory, tiny_options());
@@ -237,7 +208,7 @@ TEST(IFCA, AssignsEveryClientAValidCluster) {
 }
 
 TEST(AssignedClustering, ClusterMembersShareModelsOthersDiffer) {
-  TinyWorld w = make_world(43);
+  SyntheticWorld w = make_world(43);
   AssignedClustering algo({0, 0, 1});
   std::vector<ModelParameters> finals =
       algo.run(w.clients, w.factory, tiny_options());
@@ -246,7 +217,7 @@ TEST(AssignedClustering, ClusterMembersShareModelsOthersDiffer) {
 }
 
 TEST(AssignedClustering, PaperAssignmentShape) {
-  TinyWorld w = make_world(47);
+  SyntheticWorld w = make_world(47);
   AssignedClustering algo = AssignedClustering::paper_assignment();
   // Paper assignment is for 9 clients; running on 3 must throw.
   EXPECT_THROW(algo.run(w.clients, w.factory, tiny_options()),
@@ -254,7 +225,7 @@ TEST(AssignedClustering, PaperAssignmentShape) {
 }
 
 TEST(AlphaPortionSync, ProducesPerClientModels) {
-  TinyWorld w = make_world(53);
+  SyntheticWorld w = make_world(53);
   AlphaPortionSync algo(0.5);
   std::vector<ModelParameters> finals =
       algo.run(w.clients, w.factory, tiny_options());
@@ -265,13 +236,13 @@ TEST(AlphaPortionSync, ProducesPerClientModels) {
 TEST(AlphaPortionSync, AlphaOneIsFullyLocalAfterAggregation) {
   // alpha = 1: each client's deployed model is exactly its own update
   // (no cross-client mixing).
-  TinyWorld wa = make_world(59);
+  SyntheticWorld wa = make_world(59);
   AlphaPortionSync mix0(1.0);
   FLRunOptions opts = tiny_options(1);
   std::vector<ModelParameters> finals =
       mix0.run(wa.clients, wa.factory, opts);
 
-  TinyWorld wb = make_world(59);
+  SyntheticWorld wb = make_world(59);
   Rng rng(opts.seed);
   RoutabilityModelPtr init = wb.factory(rng);
   ModelParameters manual = wb.clients[0].local_update(
@@ -286,7 +257,7 @@ TEST(AlphaPortionSync, SingleMemberCohortKeepsItsOwnUpdateUnscaled) {
   // Under client sampling a cohort of one is normal; the sole member
   // must keep its full update (nobody to split (1 - alpha) with), not
   // alpha * update — which would silently shrink the model each round.
-  TinyWorld w = make_world(97);
+  SyntheticWorld w = make_world(97);
   AlphaPortionSync algo(0.5);
   FLRunOptions opts = tiny_options(1);
   opts.client.mu = 0.0;
@@ -294,7 +265,7 @@ TEST(AlphaPortionSync, SingleMemberCohortKeepsItsOwnUpdateUnscaled) {
   opts.participation.sample_size = 1;
   std::vector<ModelParameters> finals = algo.run(w.clients, w.factory, opts);
 
-  TinyWorld ref = make_world(97);
+  SyntheticWorld ref = make_world(97);
   Rng rng(opts.seed);
   RoutabilityModelPtr init = ref.factory(rng);
   const ModelParameters initial = ModelParameters::from_model(*init);
@@ -315,7 +286,7 @@ TEST(AlphaPortionSync, SingleMemberCohortKeepsItsOwnUpdateUnscaled) {
 }
 
 TEST(FineTune, RunsBaseThenImprovesLocalFit) {
-  TinyWorld w = make_world(61);
+  SyntheticWorld w = make_world(61);
   FLRunOptions opts = tiny_options(2);
   FineTune algo(std::make_unique<FedProx>(), /*finetune_steps=*/10);
   EXPECT_EQ(algo.name(), "FedProx + Fine-tuning");
@@ -325,7 +296,7 @@ TEST(FineTune, RunsBaseThenImprovesLocalFit) {
 }
 
 TEST(Baselines, LocalModelsArePerClientAndDifferent) {
-  TinyWorld w = make_world(67);
+  SyntheticWorld w = make_world(67);
   BaselineOptions opts;
   opts.total_steps = 6;
   opts.client = tiny_options().client;
@@ -336,7 +307,7 @@ TEST(Baselines, LocalModelsArePerClientAndDifferent) {
 }
 
 TEST(Baselines, CentralizedTrainsOnPooledData) {
-  TinyWorld w = make_world(71);
+  SyntheticWorld w = make_world(71);
   BaselineOptions opts;
   opts.total_steps = 6;
   opts.client = tiny_options().client;
@@ -420,7 +391,7 @@ TEST(Registry, EveryNameRunsAndMatchesDirectDispatchBitIdentically) {
   for (const std::string& name : AlgorithmRegistry::global().names()) {
     SCOPED_TRACE(name);
     const FLRunOptions opts = tiny_options(2);
-    TinyWorld w1 = make_world(81);
+    SyntheticWorld w1 = make_world(81);
     std::unique_ptr<FederatedAlgorithm> from_registry =
         AlgorithmRegistry::global().create(name, options);
     std::vector<ModelParameters> finals =
@@ -429,7 +400,7 @@ TEST(Registry, EveryNameRunsAndMatchesDirectDispatchBitIdentically) {
 
     auto it = direct.find(name);
     ASSERT_NE(it, direct.end()) << "no direct-dispatch reference for " << name;
-    TinyWorld w2 = make_world(81);
+    SyntheticWorld w2 = make_world(81);
     std::vector<ModelParameters> reference =
         it->second()->run(w2.clients, w2.factory, opts);
     ASSERT_EQ(reference.size(), finals.size());
@@ -461,14 +432,14 @@ TEST(ModelPoolIdentity, PooledMatchesOwnedForEveryAlgorithmAndPoolSize) {
 
       std::vector<ModelParameters> reference;
       {
-        TinyWorld owned = make_world(91);
+        SyntheticWorld owned = make_world(91);
         reference = AlgorithmRegistry::global().create(name, options)->run(
             owned.clients, owned.factory, opts);
       }  // destroy the owned world's models before counting the pooled run
 
       RoutabilityModel::reset_peak_instances();
       const std::int64_t base = RoutabilityModel::live_instances();
-      TinyWorld pooled = make_pooled_world(91);
+      SyntheticWorld pooled = make_pooled_world(91);
       std::vector<ModelParameters> finals =
           AlgorithmRegistry::global().create(name, options)->run(
               pooled.clients, pooled.factory, opts);
@@ -546,7 +517,7 @@ TEST(Participation, AvailabilityAwareFiltersOfflineClients) {
 
 TEST(Participation, SampledFedProxIsDeterministicAndPersonalizesCohortOnly) {
   auto run_once = [] {
-    TinyWorld w = make_world(83);
+    SyntheticWorld w = make_world(83);
     FLRunOptions opts = tiny_options(3);
     opts.participation.kind = ParticipationKind::kUniformSample;
     opts.participation.sample_size = 2;
@@ -562,7 +533,7 @@ TEST(Participation, SampledFedProxIsDeterministicAndPersonalizesCohortOnly) {
 }
 
 TEST(Participation, AllOfflineCohortFailsWithDescriptiveError) {
-  TinyWorld w = make_world(84);
+  SyntheticWorld w = make_world(84);
   FLRunOptions opts = tiny_options(1);
   opts.participation.kind = ParticipationKind::kAvailabilityAware;
   opts.sim = SimConfig::uniform(3);
@@ -580,16 +551,18 @@ TEST(Participation, AllOfflineCohortFailsWithDescriptiveError) {
 // --- aggregation rules (tentpole + guard satellite) ------------------
 
 TEST(AggregationRules, WeightedAverageMatchesServerFacade) {
-  TinyWorld w = make_world(85);
+  SyntheticWorld w = make_world(85);
   Rng rng(5);
   ModelParameters u1 = ModelParameters::from_model(*w.factory(rng));
   ModelParameters u2 = ModelParameters::from_model(*w.factory(rng));
   const std::vector<ModelParameters> updates = {u1, u2};
   const std::vector<double> weights = {1.0, 3.0};
 
-  const ModelParameters via_server = Server::aggregate(updates, weights);
-  const ModelParameters via_rule = WeightedAverage().aggregate(
-      ModelParameters{}, {{&u1, 1.0, 0}, {&u2, 3.0, 0}});
+  const WeightedAverage rule;
+  const ModelParameters via_server =
+      Server::aggregate(rule, ModelParameters{}, updates, weights, {});
+  const ModelParameters via_rule =
+      rule.aggregate(ModelParameters{}, {{&u1, 1.0, 0}, {&u2, 3.0, 0}});
   EXPECT_TRUE(bit_identical(via_server, via_rule));
 }
 
@@ -606,7 +579,7 @@ TEST(AggregationRules, EmptyCohortAndZeroWeightThrowDescriptively) {
           << e.what();
     }
   }
-  TinyWorld w = make_world(86);
+  SyntheticWorld w = make_world(86);
   Rng rng(5);
   ModelParameters u = ModelParameters::from_model(*w.factory(rng));
   EXPECT_THROW(
@@ -618,7 +591,7 @@ TEST(AggregationRules, EmptyCohortAndZeroWeightThrowDescriptively) {
 }
 
 TEST(AggregationRules, StalenessDiscountedMixFoldsDeltasIntoCurrent) {
-  TinyWorld w = make_world(87);
+  SyntheticWorld w = make_world(87);
   Rng rng(5);
   const ModelParameters current = ModelParameters::from_model(*w.factory(rng));
   const ModelParameters delta = ModelParameters::from_model(*w.factory(rng));
@@ -649,7 +622,7 @@ TEST(AggregationRules, StalenessDiscountedMixFoldsDeltasIntoCurrent) {
 TEST(TrainingEffectiveness, FedAvgLearnsTheSharedConcept) {
   // With enough rounds, the aggregated model must beat a random model
   // on every client (the shared threshold concept is learnable).
-  TinyWorld w = make_world(73);
+  SyntheticWorld w = make_world(73);
   FLRunOptions opts = tiny_options(6);
   opts.client.steps = 8;
   opts.client.learning_rate = 5e-3;

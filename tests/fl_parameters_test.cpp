@@ -144,24 +144,22 @@ TEST(ModelParameters, OutputLayerPredicateMatchesAllModels) {
   }
 }
 
-TEST(Server, AggregateSubsetUsesOnlyMembers) {
+TEST(WeightedAverage, AveragesExactlyTheGivenMembers) {
   RoutabilityModelPtr m = fresh(ModelKind::kFLNet, 13);
   ModelParameters base = ModelParameters::from_model(*m);
-  ModelParameters x1 = base, x2 = base, x3 = base;
+  ModelParameters x1 = base, x2 = base;
   x1.scale(1.0);
   x2.scale(2.0);
-  x3.scale(100.0);  // must be ignored
-  std::vector<ModelParameters> updates = {x1, x2, x3};
-  std::vector<double> weights = {1.0, 1.0, 1.0};
-  ModelParameters agg = Server::aggregate_subset(updates, weights, {0, 1});
+  const WeightedAverage rule;
+  ModelParameters agg =
+      rule.aggregate(ModelParameters{}, {{&x1, 1.0, 0}, {&x2, 1.0, 0}});
   ModelParameters expected = base;
   expected.scale(1.5);
   for (std::size_t i = 0; i < agg.entries().size(); ++i) {
     EXPECT_TRUE(allclose(agg.entries()[i].value, expected.entries()[i].value,
                          1e-5f, 1e-6f));
   }
-  EXPECT_THROW(Server::aggregate_subset(updates, weights, {}),
-               std::invalid_argument);
+  EXPECT_THROW(rule.aggregate(ModelParameters{}, {}), std::invalid_argument);
 }
 
 TEST(ModelParameters, NumelMatchesModel) {

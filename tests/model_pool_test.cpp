@@ -191,7 +191,7 @@ TEST(ClientOptimizerState, PersistedMomentsAreSharedPoolInvariant) {
       }
     } else {
       // The owned layout: per-client exclusive pools over the same
-      // data and rng streams (the factory-ctor compatibility path).
+      // data and rng streams.
       std::vector<ClientDataset> data;
       for (std::size_t k = 0; k < options.num_clients; ++k) {
         data.push_back(make_synthetic_client(
@@ -204,7 +204,8 @@ TEST(ClientOptimizerState, PersistedMomentsAreSharedPoolInvariant) {
       Rng rng(seed);
       std::vector<Client> clients;
       for (std::size_t k = 0; k < data.size(); ++k) {
-        clients.emplace_back(data[k].client_id, &data[k], factory,
+        clients.emplace_back(data[k].client_id, &data[k],
+                             std::make_shared<ModelPool>(factory),
                              rng.fork(k));
       }
       Rng r(5);

@@ -142,9 +142,7 @@ TEST(SimEngine, PerClientLinkFallbackAndOverride) {
 
 // --- tiny federated world (shared fl/synthetic fixture) --------------
 
-using TinyWorld = SyntheticWorld;
-
-TinyWorld make_world(std::uint64_t seed, std::size_t num_clients = 3) {
+SyntheticWorld make_world(std::uint64_t seed, std::size_t num_clients = 3) {
   SyntheticWorldOptions options;
   options.num_clients = num_clients;
   return make_synthetic_world(seed, options);
@@ -164,7 +162,7 @@ FLRunOptions tiny_options(int rounds = 2) {
 // --- sync rounds as schedules ---------------------------------------
 
 TEST(SyncSchedule, ReportsEventsAndTime) {
-  TinyWorld w = make_world(21);
+  SyntheticWorld w = make_world(21);
   FLRunOptions opts = tiny_options(2);
   opts.trace = true;
   SimReport report;
@@ -180,7 +178,7 @@ TEST(SyncSchedule, ReportsEventsAndTime) {
 
 TEST(SyncSchedule, StragglerStretchesBarrier) {
   auto run_with = [&](const SimConfig& sim) {
-    TinyWorld w = make_world(22);
+    SyntheticWorld w = make_world(22);
     FLRunOptions opts = tiny_options(2);
     opts.sim = sim;
     opts.sim.step_time_s = 1.0;  // compute-dominated
@@ -198,7 +196,7 @@ TEST(SyncSchedule, StragglerStretchesBarrier) {
 }
 
 TEST(SyncSchedule, OfflineClientDelaysRound) {
-  TinyWorld w = make_world(23);
+  SyntheticWorld w = make_world(23);
   FLRunOptions opts = tiny_options(1);
   opts.sim = SimConfig::uniform(3);
   opts.sim.profiles[1].offline.push_back({0.0, 50.0});
@@ -212,7 +210,7 @@ TEST(SyncSchedule, OfflineClientDelaysRound) {
 TEST(SyncSchedule, PermanentlyOfflineClientThrowsDescriptively) {
   // The barrier would never release; the engine must say so instead of
   // failing deep inside EventQueue with a non-finite timestamp.
-  TinyWorld w = make_world(24);
+  SyntheticWorld w = make_world(24);
   FLRunOptions opts = tiny_options(1);
   opts.sim = SimConfig::uniform(3);
   opts.sim.profiles[2].offline.push_back(
@@ -237,7 +235,7 @@ TEST(AsyncFedAvg, StalenessWeights) {
 }
 
 TEST(AsyncFedAvg, AggregatesAndMetersRounds) {
-  TinyWorld w = make_world(31);
+  SyntheticWorld w = make_world(31);
   FLRunOptions opts = tiny_options(4);
   opts.trace = true;
   ChannelStats comm;
@@ -264,7 +262,7 @@ TEST(AsyncFedAvg, AggregatesAndMetersRounds) {
 TEST(AsyncFedAvg, BeatsSyncWallClockUnderStraggler) {
   const int rounds = 3;
   // Sync pays the 10x straggler every round...
-  TinyWorld ws = make_world(32);
+  SyntheticWorld ws = make_world(32);
   FLRunOptions sync_opts = tiny_options(rounds);
   sync_opts.sim = SimConfig::with_straggler(3, 0, 10.0);
   sync_opts.sim.step_time_s = 1.0;
@@ -274,7 +272,7 @@ TEST(AsyncFedAvg, BeatsSyncWallClockUnderStraggler) {
   sync_algo.run(ws.clients, ws.factory, sync_opts);
 
   // ...async keeps aggregating from the two fast clients.
-  TinyWorld wa = make_world(32);
+  SyntheticWorld wa = make_world(32);
   FLRunOptions async_opts = tiny_options(rounds);
   async_opts.sim = SimConfig::with_straggler(3, 0, 10.0);
   async_opts.sim.step_time_s = 1.0;
@@ -290,7 +288,7 @@ TEST(AsyncFedAvg, BeatsSyncWallClockUnderStraggler) {
 
 TEST(AsyncFedAvg, DropoutLosesInFlightUpdateAndRecovers) {
   // First pass: find when client 0 first delivers.
-  TinyWorld probe = make_world(33);
+  SyntheticWorld probe = make_world(33);
   FLRunOptions opts = tiny_options(3);
   opts.trace = true;
   SimReport report;
@@ -312,7 +310,7 @@ TEST(AsyncFedAvg, DropoutLosesInFlightUpdateAndRecovers) {
 
   // Second pass: knock client 0 offline across that delivery moment —
   // the update must be dropped and retried after the window.
-  TinyWorld w = make_world(33);
+  SyntheticWorld w = make_world(33);
   opts.sim = SimConfig::uniform(3);
   opts.sim.profiles[0].offline.push_back(
       {first_delivery - 1e-9, first_delivery + 5.0});
@@ -329,7 +327,7 @@ TEST(AsyncFedAvg, DropoutLosesInFlightUpdateAndRecovers) {
 }
 
 TEST(AsyncFedAvg, ThrowsWhenEveryClientIsPermanentlyOffline) {
-  TinyWorld w = make_world(34);
+  SyntheticWorld w = make_world(34);
   FLRunOptions opts = tiny_options(2);
   opts.sim = SimConfig::uniform(3);
   const double forever = std::numeric_limits<double>::infinity();
@@ -341,26 +339,34 @@ TEST(AsyncFedAvg, ThrowsWhenEveryClientIsPermanentlyOffline) {
 
 // --- aggregation guards (satellite) ----------------------------------
 
-TEST(ServerGuards, DescriptiveErrorsInsteadOfNaNs) {
+TEST(AggregationGuards, DescriptiveErrorsInsteadOfNaNs) {
   Rng rng(4);
   RoutabilityModelPtr model = make_model(ModelKind::kFLNet, 2, rng);
-  ModelParameters params = ModelParameters::from_model(*model);
-  std::vector<ModelParameters> updates = {params, params};
+  const ModelParameters params = ModelParameters::from_model(*model);
+  const WeightedAverage rule;
+  const auto aggregate = [&](std::vector<double> weights) {
+    std::vector<AggregationInput> cohort;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      cohort.push_back({&params, weights[i], 0, static_cast<int>(10 + i)});
+    }
+    return rule.aggregate(ModelParameters{}, cohort);
+  };
 
   // Empty member set.
-  EXPECT_THROW(Server::aggregate_subset(updates, {1.0, 1.0}, {}),
-               std::invalid_argument);
+  EXPECT_THROW(aggregate({}), std::invalid_argument);
   // Zero total weight would divide by zero -> NaN parameters.
-  EXPECT_THROW(Server::aggregate(updates, {0.0, 0.0}), std::invalid_argument);
-  // Non-finite weights must not slip through the sign check.
+  EXPECT_THROW(aggregate({0.0, 0.0}), std::invalid_argument);
+  // Non-finite weights must not slip through the sign check, and the
+  // error names the sender.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(Server::aggregate(updates, {nan, 1.0}), std::invalid_argument);
-  EXPECT_THROW(
-      Server::aggregate(updates,
-                        {std::numeric_limits<double>::infinity(), 1.0}),
-      std::invalid_argument);
-  // Subset with all-zero weights.
-  EXPECT_THROW(Server::aggregate_subset(updates, {0.0, 0.0}, {0, 1}),
+  try {
+    aggregate({1.0, nan});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("client 11"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(aggregate({std::numeric_limits<double>::infinity(), 1.0}),
                std::invalid_argument);
 }
 
@@ -384,7 +390,7 @@ template <typename AlgoFactory>
 RunArtifacts run_traced(AlgoFactory make_algo, std::size_t pool_size,
                         const SimConfig& sim) {
   ThreadPool::reset_global(pool_size);
-  TinyWorld w = make_world(55);
+  SyntheticWorld w = make_world(55);
   FLRunOptions opts = tiny_options(3);
   opts.trace = true;
   opts.sim = sim;
@@ -428,7 +434,7 @@ TEST(SyncSchedule, AvailabilityAwareSkipsOfflineClientInsteadOfWaiting) {
   // availability-aware policy the barrier no longer stalls until the
   // offline client's window ends — the round closes on the two
   // reachable clients.
-  TinyWorld w = make_world(25);
+  SyntheticWorld w = make_world(25);
   FLRunOptions opts = tiny_options(1);
   opts.sim = SimConfig::uniform(3);
   opts.sim.profiles[1].offline.push_back({0.0, 50.0});
@@ -444,7 +450,7 @@ TEST(SyncSchedule, AvailabilityAwareSkipsOfflineClientInsteadOfWaiting) {
 
 TEST(SyncSchedule, SampledRoundBillsAndSchedulesOnlyTheCohort) {
   auto run_with = [&](int sample_size, ChannelStats* comm) {
-    TinyWorld w = make_world(26, /*num_clients=*/6);
+    SyntheticWorld w = make_world(26, /*num_clients=*/6);
     FLRunOptions opts = tiny_options(2);
     if (sample_size > 0) {
       opts.participation.kind = ParticipationKind::kUniformSample;
@@ -479,7 +485,7 @@ TEST(SyncSchedule, SampledRoundBillsAndSchedulesOnlyTheCohort) {
 TEST(Determinism, SampledCohortTraceAndParametersInvariantToPoolSize) {
   auto run_with_pool = [](std::size_t pool) {
     ThreadPool::reset_global(pool);
-    TinyWorld w = make_world(77, /*num_clients=*/4);
+    SyntheticWorld w = make_world(77, /*num_clients=*/4);
     FLRunOptions opts = tiny_options(3);
     opts.trace = true;
     opts.sim = SimConfig::heterogeneous(4, 9);
@@ -581,7 +587,7 @@ int max_concurrent_in_flight(const std::vector<SimTraceEntry>& trace) {
 }
 
 TEST(AsyncFedAvg, MaxInFlightCapIsRespectedAndRotatesTheFleet) {
-  TinyWorld w = make_world(44, /*num_clients=*/6);
+  SyntheticWorld w = make_world(44, /*num_clients=*/6);
   FLRunOptions opts = tiny_options(4);
   opts.trace = true;
   SimReport report;
@@ -605,7 +611,7 @@ TEST(AsyncFedAvg, MaxInFlightCapIsRespectedAndRotatesTheFleet) {
 
 TEST(AsyncFedAvg, MaxInFlightIsDeterministic) {
   auto run_once = [] {
-    TinyWorld w = make_world(45, /*num_clients=*/5);
+    SyntheticWorld w = make_world(45, /*num_clients=*/5);
     FLRunOptions opts = tiny_options(3);
     opts.trace = true;
     opts.sim = SimConfig::heterogeneous(5, 13);
@@ -628,7 +634,7 @@ TEST(AsyncFedAvg, UngatedRunMatchesCapAtFleetSize) {
   // cap = 0 (unlimited) and cap = K admit the same schedule: the gate
   // only changes behavior when it actually binds.
   auto run_with_cap = [](int cap) {
-    TinyWorld w = make_world(46, /*num_clients=*/4);
+    SyntheticWorld w = make_world(46, /*num_clients=*/4);
     FLRunOptions opts = tiny_options(3);
     opts.trace = true;
     SimReport report;

@@ -4,8 +4,9 @@
 // for the histogram sketches), bit-identity of the streaming path
 // across thread-pool sizes and shard counts (lane partition + merge
 // order are pure functions of the cohort), the fold-time validation
-// guards, Channel::collect_streaming / move-collect equivalence with
-// the batch collect, the fast client-construction schema, the
+// guards, the buffered accumulator's finish() == aggregate() for every
+// registered rule, Channel::collect_streaming equivalence with
+// per-message uploads, the fast client-construction schema, the
 // importance_sample participation policy, and end-to-end streaming
 // round loops (FedAvg, AlphaPortionSync, AsyncFedAvg).
 #include <gtest/gtest.h>
@@ -311,18 +312,134 @@ TEST(StreamingAccumulator, MergeRejectsAForeignAccumulatorType) {
   EXPECT_THROW(a->merge(*b), std::invalid_argument);
 }
 
-TEST(StreamingAccumulator, KrumFamilyStaysDense) {
+// --- buffered accumulator: finish() is the dense aggregate() ---------
+
+// Folds `cohort` into buffered accumulators over `lanes` fold lanes,
+// merges them in lane order and finishes.
+ModelParameters buffered_aggregate(const AggregationRule& rule,
+                                   const ModelParameters& current,
+                                   const std::vector<AggregationInput>& cohort,
+                                   std::size_t lanes) {
+  const std::vector<std::size_t> offsets =
+      fold_lane_offsets(cohort.size(), lanes);
+  std::vector<std::unique_ptr<StreamingAccumulator>> accs(lanes);
+  for (auto& acc : accs) acc = rule.buffered_accumulator(current);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t i = offsets[l]; i < offsets[l + 1]; ++i) {
+      accs[l]->fold(*cohort[i].params, cohort[i].weight, cohort[i].staleness,
+                    cohort[i].client);
+    }
+  }
+  for (std::size_t l = 1; l < lanes; ++l) accs[0]->merge(*accs[l]);
+  return accs[0]->finish();
+}
+
+// A random cohort of n members (client ids 100 + i, mixed weights and
+// staleness) plus a `current` of the same structure.
+struct RandomCohort {
+  ModelParameters current;
+  std::vector<ModelParameters> members;
+  std::vector<AggregationInput> inputs;
+};
+
+RandomCohort random_cohort(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto draw = [&](float scale) {
+    std::vector<float> v(5);
+    for (float& x : v) x = scale * static_cast<float>(rng.uniform(-1.0, 1.0));
+    return make_params(v, static_cast<float>(rng.uniform(0.0, 2.0)));
+  };
+  RandomCohort c;
+  c.current = draw(0.1f);
+  for (std::size_t i = 0; i < n; ++i) c.members.push_back(draw(1.0f));
+  for (std::size_t i = 0; i < n; ++i) {
+    c.inputs.push_back({&c.members[i], rng.uniform(0.5, 4.0),
+                        static_cast<int>(i % 3), static_cast<int>(100 + i)});
+  }
+  return c;
+}
+
+TEST(BufferedAccumulator, FinishEqualsAggregateForEveryRuleAndLaneSplit) {
+  AggregationConfig config;
+  config.krum_f = 1;  // n >= 2f + 3 = 5 for the Krum family
+  config.clip_norm = 0.5;
+  const std::vector<std::string> names = AggregationRegistry::global().names();
+  ASSERT_GE(names.size(), 7u);
+  for (const std::string& name : names) {
+    const std::unique_ptr<AggregationRule> rule =
+        AggregationRegistry::global().create(name, config);
+    // Cohort sizes that leave partial (and, at 8 lanes, empty) lanes.
+    for (const std::size_t n : {5u, 7u, 13u}) {
+      const RandomCohort c = random_cohort(n, 1000 + n);
+      const ModelParameters dense = rule->aggregate(c.current, c.inputs);
+      for (const std::size_t lanes : {1u, 3u, 8u}) {
+        SCOPED_TRACE(name + " n=" + std::to_string(n) +
+                     " lanes=" + std::to_string(lanes));
+        const ModelParameters buffered =
+            buffered_aggregate(*rule, c.current, c.inputs, lanes);
+        ASSERT_TRUE(dense.structurally_equal(buffered));
+        for (std::size_t e = 0; e < dense.entries().size(); ++e) {
+          const Tensor& want = dense.entries()[e].value;
+          const Tensor& got = buffered.entries()[e].value;
+          for (std::int64_t i = 0; i < want.numel(); ++i) {
+            EXPECT_EQ(got[i], want[i]) << "entry " << e << " index " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BufferedAccumulator, GuardErrorsNameTheSameClientAsAggregate) {
+  AggregationConfig config;
+  config.krum_f = 1;
+  for (const std::string& name : AggregationRegistry::global().names()) {
+    const std::unique_ptr<AggregationRule> rule =
+        AggregationRegistry::global().create(name, config);
+    RandomCohort c = random_cohort(7, 77);
+    c.members[4] = make_params(
+        {1.0f, std::numeric_limits<float>::quiet_NaN(), 0.0f, 0.0f, 0.0f});
+    std::string dense_error;
+    try {
+      rule->aggregate(c.current, c.inputs);
+    } catch (const std::invalid_argument& e) {
+      dense_error = e.what();
+    }
+    ASSERT_NE(dense_error.find("client 104"), std::string::npos)
+        << name << ": " << dense_error;
+    for (const std::size_t lanes : {1u, 3u, 8u}) {
+      try {
+        buffered_aggregate(*rule, c.current, c.inputs, lanes);
+        FAIL() << name << ": expected invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), dense_error) << name;
+      }
+    }
+  }
+}
+
+TEST(BufferedAccumulator, IsTheDefaultForRulesWithoutANativeForm) {
+  // Krum scores the cohort as a whole; its accumulator() is the
+  // buffered one rather than an error.
+  const Krum krum(1);
+  const RandomCohort c = random_cohort(6, 5);
+  std::unique_ptr<StreamingAccumulator> acc =
+      krum.accumulator(c.current, ShardLayout{});
+  for (const AggregationInput& in : c.inputs) {
+    acc->fold(*in.params, in.weight, in.staleness, in.client);
+  }
+  EXPECT_EQ(acc->folds(), 6u);
+  EXPECT_TRUE(
+      bit_identical(acc->finish(), krum.aggregate(c.current, c.inputs)));
+}
+
+TEST(BufferedAccumulator, MergeRejectsAnotherRulesAccumulator) {
   const Krum krum(1);
   const MultiKrum multi(1, 0);
-  EXPECT_TRUE(krum.requires_dense());
-  EXPECT_TRUE(multi.requires_dense());
-  EXPECT_THROW(krum.accumulator(ModelParameters{}, ShardLayout{}),
-               std::logic_error);
-  const WeightedAverage mean;
-  EXPECT_FALSE(mean.requires_dense());
-  EXPECT_FALSE(CoordinateMedian().requires_dense());
-  EXPECT_FALSE(TrimmedMean(0.1).requires_dense());
-  EXPECT_FALSE(NormClippedMean(1.0).requires_dense());
+  const ModelParameters current = make_params({0.0f});
+  auto a = krum.buffered_accumulator(current);
+  auto b = multi.buffered_accumulator(current);
+  EXPECT_THROW(a->merge(*b), std::invalid_argument);
 }
 
 TEST(StreamingAccumulator, ClippingAndSketchRulesRequireANonEmptyCurrent) {
@@ -343,60 +460,44 @@ TEST(CoordinateMedian, RejectsBadSketchKnobs) {
 
 // --- channel: move collect and streaming collect ---------------------
 
-TEST(Channel, MoveCollectMatchesBatchCollectBitForBitIncludingBilling) {
-  const std::vector<std::size_t> senders = {1, 3, 4};
-  std::vector<ModelParameters> updates;
-  for (int i = 0; i < 3; ++i) {
-    updates.push_back(make_params({static_cast<float>(i), 1.5f}, 1.0f));
-  }
-  const std::vector<const ModelParameters*> references(senders.size(),
-                                                       nullptr);
-  Channel batch{CommConfig{}};
-  const std::vector<ModelParameters> collected =
-      batch.collect(updates, references, senders);
-  Channel moved{CommConfig{}};
-  std::vector<ModelParameters> owned = updates;  // copy, then hand over
-  const std::vector<ModelParameters> collected_moved =
-      moved.collect(std::move(owned), references, senders);
-  ASSERT_EQ(collected.size(), collected_moved.size());
-  for (std::size_t i = 0; i < collected.size(); ++i) {
-    EXPECT_TRUE(bit_identical(collected[i], collected_moved[i]));
-  }
-  EXPECT_EQ(batch.stats().uplink_bytes, moved.stats().uplink_bytes);
-  EXPECT_EQ(batch.stats().uplink_messages, moved.stats().uplink_messages);
-}
-
-TEST(Channel, CollectStreamingMatchesBatchCollectAndItsBilling) {
+TEST(Channel, CollectStreamingMatchesPerMessageUploadsAndTheirBilling) {
   const std::size_t n = 13;
   std::vector<std::size_t> senders(n);
   std::vector<ModelParameters> updates;
   for (std::size_t i = 0; i < n; ++i) {
-    senders[i] = i;
+    senders[i] = 2 * i;
     updates.push_back(
         make_params({static_cast<float>(i) * 0.5f, -1.0f}, 2.0f));
   }
   const std::vector<const ModelParameters*> references(n, nullptr);
+  CommConfig config;
+  config.uplink = CodecKind::kInt8Quant;
 
-  Channel batch{CommConfig{}};
-  const std::vector<ModelParameters> collected =
-      batch.collect(updates, references, senders);
-
-  Channel streaming{CommConfig{}};
-  std::vector<ModelParameters> folded(n);
-  streaming.collect_streaming(
-      senders, references, fold_lane_offsets(n, kFoldLanes),
-      [&](std::size_t i) { return updates[i]; },
-      [&](std::size_t, std::size_t i, ModelParameters&& decoded) {
-        folded[i] = std::move(decoded);
-      });
+  Channel single(config);
+  std::vector<ModelParameters> sent;
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(bit_identical(collected[i], folded[i])) << "position " << i;
+    sent.push_back(single.send_up(senders[i], updates[i], nullptr));
   }
-  EXPECT_EQ(batch.stats().uplink_bytes, streaming.stats().uplink_bytes);
-  EXPECT_EQ(batch.stats().uplink_messages,
-            streaming.stats().uplink_messages);
-  EXPECT_EQ(batch.stats().raw_uplink_bytes,
-            streaming.stats().raw_uplink_bytes);
+  for (const std::size_t lanes :
+       {std::size_t{1}, std::size_t{3}, kFoldLanes}) {
+    Channel streaming(config);
+    std::vector<ModelParameters> folded(n);
+    streaming.collect_streaming(
+        senders, references, fold_lane_offsets(n, lanes),
+        [&](std::size_t i) { return updates[i]; },
+        [&](std::size_t, std::size_t i, ModelParameters&& decoded) {
+          folded[i] = std::move(decoded);
+        });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(bit_identical(sent[i], folded[i]))
+          << "lanes " << lanes << " position " << i;
+    }
+    EXPECT_EQ(single.stats().uplink_bytes, streaming.stats().uplink_bytes);
+    EXPECT_EQ(single.stats().uplink_messages,
+              streaming.stats().uplink_messages);
+    EXPECT_EQ(single.stats().raw_uplink_bytes,
+              streaming.stats().raw_uplink_bytes);
+  }
 }
 
 TEST(Channel, CollectStreamingValidatesTheLaneOffsets) {
