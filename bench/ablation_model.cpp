@@ -56,7 +56,7 @@ class FLNetBN : public RoutabilityModel {
 
 MethodResult run_variant(const std::string& label, const ModelFactory& factory,
                          const std::vector<ClientDataset>& data,
-                         const ExperimentConfig& cfg, TrainingMethod method) {
+                         const ExperimentConfig& cfg, std::string_view method) {
   const RunScale& scale = cfg.scale;
   PaperHyperParams hp;
   // Each variant has its own architecture, so each gets its own pool;
@@ -77,7 +77,7 @@ MethodResult run_variant(const std::string& label, const ModelFactory& factory,
   ccfg.mu = hp.fedprox_mu;
   ccfg.reset_optimizer = cfg.reset_optimizer;
 
-  if (method == TrainingMethod::kCentral) {
+  if (method == "central") {
     BaselineOptions bopts;
     bopts.total_steps = scale.rounds * scale.steps_per_round;
     bopts.client = ccfg;
@@ -110,9 +110,9 @@ int main() {
 
   auto add_row = [&](const std::string& label, const ModelFactory& factory) {
     MethodResult fed =
-        run_variant(label, factory, data, cfg, TrainingMethod::kFedProx);
+        run_variant(label, factory, data, cfg, "fedprox");
     MethodResult central =
-        run_variant(label, factory, data, cfg, TrainingMethod::kCentral);
+        run_variant(label, factory, data, cfg, "central");
     t.add_row({label, AsciiTable::fmt(fed.average, 3),
                AsciiTable::fmt(central.average, 3),
                AsciiTable::fmt(central.average - fed.average, 3)});

@@ -12,7 +12,6 @@ Gated metrics (current vs previous):
   - BENCH_comm.json    codecs[*].encode_mb_per_s       must be >= 0.8x
   - BENCH_comm.json    codecs[*].decode_mb_per_s       must be >= 0.8x
   - BENCH_kernels.json shapes[*].auto_gflops           must be >= 0.8x
-  - BENCH_kernels.json plan_cache.hit_rate             must be >= 0.8x
 
 Stdlib only (urllib + zipfile against the GitHub REST API). The gate is
 advisory-by-absence: no GITHUB_TOKEN, no previous artifact, or an API
@@ -176,10 +175,6 @@ def main():
             f"kernels.{name}.auto_gflops",
             now_shapes[name].get("auto_gflops"),
             prev_shapes[name].get("auto_gflops")))
-    errors.append(check(
-        "kernels.plan_cache.hit_rate",
-        kernels_now.get("plan_cache", {}).get("hit_rate"),
-        kernels_prev.get("plan_cache", {}).get("hit_rate")))
 
     errors = [e for e in errors if e is not None]
     if errors:

@@ -40,11 +40,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(exp.data()[k].num_test()));
 
   std::printf("Training local baseline b_%d...\n", client_id);
-  MethodResult local = exp.run_method(TrainingMethod::kLocal);
+  MethodResult local = exp.run_method("local");
   std::printf("Running FedProx across all clients...\n");
-  MethodResult fedprox = exp.run_method(TrainingMethod::kFedProx);
+  MethodResult fedprox = exp.run_method("fedprox");
   std::printf("Running FedProx + local fine-tuning...\n");
-  MethodResult finetuned = exp.run_method(TrainingMethod::kFedProxFineTune);
+  MethodResult finetuned = exp.run_method("fedprox_finetune");
 
   AsciiTable t("Client " + std::to_string(client_id) + " test ROC AUC");
   t.set_header({"Model", "AUC (this client)", "AUC (9-client average)"});

@@ -7,7 +7,6 @@
 #include "nn/init.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/plan.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -67,16 +66,11 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // One plan for the whole step; when the planner picks the packed
-  // strategy, the weight panels are packed once here and shared
-  // read-only across the batch workers.
-  const GemmPlan plan = KernelPlanCache::global().plan_for(
-      GemmOp::kNN, opts_.out_channels, g.col_rows(), g.col_cols());
-  std::vector<float> wpack;
-  if (plan.strategy == GemmStrategy::kPacked) {
-    wpack.resize(packed_a_elems(plan));
-    pack_a(plan, weight_.value.data(), wpack.data());
-  }
+  // y = W [Cout x rows] * cols [rows x OHW]; the weight is packed (when
+  // the plan says so) once for the whole batch.
+  const WeightGemm gemm(gemm_plan(GemmOp::kNN, opts_.out_channels,
+                                  g.col_rows(), g.col_cols()),
+                        weight_.value.data());
 
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
@@ -90,17 +84,9 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     for (std::size_t n = nb; n < ne; ++n) {
       im2col(input.data() + static_cast<std::int64_t>(n) * in_stride, g,
              cols);
-      // y = W [Cout x rows] * cols [rows x OHW]
-      float* out_n = output.data() + static_cast<std::int64_t>(n) * out_stride;
-      if (plan.strategy == GemmStrategy::kPacked) {
-        gemm_packed_prepacked_a(plan, wpack.data(), cols, out_n,
-                                /*accumulate=*/false);
-      } else {
-        matmul_reference(weight_.value.data(), cols, out_n,
-                         opts_.out_channels, g.col_rows(), g.col_cols());
-      }
+      float* out = output.data() + static_cast<std::int64_t>(n) * out_stride;
+      gemm.run(cols, out);
       if (opts_.bias) {
-        float* out = output.data() + static_cast<std::int64_t>(n) * out_stride;
         for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
           const float b = bias_.value[co];
           float* chan = out + co * OH * OW;
@@ -132,16 +118,12 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
 
-  // dcols reuses the weight across the whole batch: plan once, prepack
-  // once when packed. dW's GEMM has a per-sample A (dy), so it goes
+  // dcols = W^T [rows x Cout] * dy [Cout x OHW] reuses the weight across
+  // the whole batch. dW's GEMM has a per-sample A (dy), so it goes
   // through the dispatching matmul_bt below.
-  const GemmPlan dx_plan = KernelPlanCache::global().plan_for(
-      GemmOp::kAT, g.col_rows(), opts_.out_channels, g.col_cols());
-  std::vector<float> wpack;
-  if (dx_plan.strategy == GemmStrategy::kPacked) {
-    wpack.resize(packed_a_elems(dx_plan));
-    pack_a(dx_plan, weight_.value.data(), wpack.data());
-  }
+  const WeightGemm dx_gemm(gemm_plan(GemmOp::kAT, g.col_rows(),
+                                     opts_.out_channels, g.col_cols()),
+                           weight_.value.data());
 
   // Batch-parallel over a FIXED number of slices (independent of the
   // thread-pool size), each with its own dW/db partial, reduced
@@ -171,14 +153,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         // dW_s += dy [Cout x OHW] * cols^T
         matmul_bt(dy, cols, dw_partial[s].data(), opts_.out_channels,
                   g.col_cols(), g.col_rows(), /*accumulate=*/true);
-        // dcols = W^T [rows x Cout] * dy [Cout x OHW]
-        if (dx_plan.strategy == GemmStrategy::kPacked) {
-          gemm_packed_prepacked_a(dx_plan, wpack.data(), dy, dcols,
-                                  /*accumulate=*/false);
-        } else {
-          matmul_at_reference(weight_.value.data(), dy, dcols, g.col_rows(),
-                              opts_.out_channels, g.col_cols());
-        }
+        dx_gemm.run(dy, dcols);
         col2im(dcols, g,
                grad_input.data() + static_cast<std::int64_t>(n) * in_stride);
         if (opts_.bias) {

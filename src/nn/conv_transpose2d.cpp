@@ -7,7 +7,6 @@
 #include "nn/init.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/plan.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -66,14 +65,11 @@ Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // Plan once per step; prepack the shared weight when packed.
-  const GemmPlan plan = KernelPlanCache::global().plan_for(
-      GemmOp::kAT, g.col_rows(), opts_.in_channels, g.col_cols());
-  std::vector<float> wpack;
-  if (plan.strategy == GemmStrategy::kPacked) {
-    wpack.resize(packed_a_elems(plan));
-    pack_a(plan, weight_.value.data(), wpack.data());
-  }
+  // cols = W^T [Cout*k*k x Cin] * x [Cin x H*W], one weight (packed
+  // when the plan says so) for the whole batch.
+  const WeightGemm gemm(gemm_plan(GemmOp::kAT, g.col_rows(),
+                                  opts_.in_channels, g.col_cols()),
+                        weight_.value.data());
 
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
@@ -83,16 +79,7 @@ Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
         ScratchSlot::kCols,
         static_cast<std::size_t>(g.col_rows() * g.col_cols()));
     for (std::size_t n = nb; n < ne; ++n) {
-      // cols = W^T [Cout*k*k x Cin] * x [Cin x H*W]
-      const float* x_n =
-          input.data() + static_cast<std::int64_t>(n) * in_stride;
-      if (plan.strategy == GemmStrategy::kPacked) {
-        gemm_packed_prepacked_a(plan, wpack.data(), x_n, cols,
-                                /*accumulate=*/false);
-      } else {
-        matmul_at_reference(weight_.value.data(), x_n, cols, g.col_rows(),
-                            opts_.in_channels, g.col_cols());
-      }
+      gemm.run(input.data() + static_cast<std::int64_t>(n) * in_stride, cols);
       // scatter-add columns into the (zeroed) output image
       col2im(cols, g,
              output.data() + static_cast<std::int64_t>(n) * out_stride);
@@ -131,15 +118,12 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
 
-  // dx reuses the weight across the batch: plan once, prepack once when
-  // packed. dW's per-sample-A GEMM dispatches through matmul_bt.
-  const GemmPlan dx_plan = KernelPlanCache::global().plan_for(
-      GemmOp::kNN, opts_.in_channels, g.col_rows(), g.col_cols());
-  std::vector<float> wpack;
-  if (dx_plan.strategy == GemmStrategy::kPacked) {
-    wpack.resize(packed_a_elems(dx_plan));
-    pack_a(dx_plan, weight_.value.data(), wpack.data());
-  }
+  // dx = W [Cin x Cout*k*k] * dcols [Cout*k*k x H*W] reuses the weight
+  // across the batch. dW's per-sample-A GEMM dispatches through
+  // matmul_bt.
+  const WeightGemm dx_gemm(gemm_plan(GemmOp::kNN, opts_.in_channels,
+                                     g.col_rows(), g.col_cols()),
+                           weight_.value.data());
 
   // Fixed-slice partials, reduced in slice order (see Conv2d::backward
   // for why a pool-size-dependent mutex merge would be
@@ -161,16 +145,8 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
             grad_output.data() + static_cast<std::int64_t>(n) * out_stride;
         // dcols = im2col(dy) (adjoint of the forward col2im)
         im2col(dy, g, dcols);
-        // dx = W [Cin x Cout*k*k] * dcols [Cout*k*k x H*W]
-        float* dx_n =
-            grad_input.data() + static_cast<std::int64_t>(n) * in_stride;
-        if (dx_plan.strategy == GemmStrategy::kPacked) {
-          gemm_packed_prepacked_a(dx_plan, wpack.data(), dcols, dx_n,
-                                  /*accumulate=*/false);
-        } else {
-          matmul_reference(weight_.value.data(), dcols, dx_n,
-                           opts_.in_channels, g.col_rows(), g.col_cols());
-        }
+        dx_gemm.run(dcols, grad_input.data() +
+                               static_cast<std::int64_t>(n) * in_stride);
         // dW_s += x [Cin x H*W] * dcols^T
         matmul_bt(input.data() + static_cast<std::int64_t>(n) * in_stride,
                   dcols, dw_partial[s].data(), opts_.in_channels,

@@ -69,7 +69,6 @@ inline constexpr const char* kCodecDecode = "codec/decode";
 inline constexpr const char* kAggregate = "agg/aggregate";
 inline constexpr const char* kEventDispatch = "sim/dispatch";
 inline constexpr const char* kPoolAcquire = "pool/acquire";
-inline constexpr const char* kKernelPlan = "kernel/plan";
 inline constexpr const char* kKernelPack = "kernel/pack";
 inline constexpr const char* kBenchTotal = "bench/total";
 }  // namespace phase

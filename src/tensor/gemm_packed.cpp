@@ -1,4 +1,5 @@
-// Packed cache-blocked GEMM — the planner's "fat shape" strategy.
+// Packed cache-blocked GEMM — the planner's "fat shape" strategy —
+// and WeightGemm, which packs a fixed A operand once for many calls.
 //
 // Classic three-loop blocking (the BLIS/poplibs structure, scalar C++
 // left to the compiler's vectorizer):
@@ -21,9 +22,10 @@
 // mr x nr region is written back to C.
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "obs/profiler.hpp"
-#include "tensor/plan.hpp"
+#include "tensor/matmul.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -190,17 +192,13 @@ void gemm_packed_impl(const GemmPlan& plan, const float* a,
   }
 }
 
-}  // namespace
-
-std::size_t packed_a_elems(const GemmPlan& plan) {
-  const std::int64_t mpanels = (plan.shape.m + MR - 1) / MR;
-  return static_cast<std::size_t>(mpanels * plan.shape.k * MR);
-}
-
-void pack_a(const GemmPlan& plan, const float* a, float* apack) {
+// Packs the whole A operand (all of k) into zero-padded MR
+// micro-panels, the layout gemm_packed_impl reads through apack_full.
+std::vector<float> pack_a(const GemmPlan& plan, const float* a) {
   const std::int64_t m = plan.shape.m;
   const std::int64_t k = plan.shape.k;
   const std::int64_t mpanels = (m + MR - 1) / MR;
+  std::vector<float> apack(static_cast<std::size_t>(mpanels * k * MR));
   ProfileScope pack(phase::kKernelPack);
   parallel_for(
       static_cast<std::size_t>(mpanels),
@@ -209,20 +207,43 @@ void pack_a(const GemmPlan& plan, const float* a, float* apack) {
           const std::int64_t i0 = static_cast<std::int64_t>(ip) * MR;
           pack_a_panel(plan.shape.op, a, m, k, i0,
                        std::min<std::int64_t>(MR, m - i0), 0, k,
-                       apack + static_cast<std::int64_t>(ip) * k * MR);
+                       apack.data() + static_cast<std::int64_t>(ip) * k * MR);
         }
       },
       /*grain=*/4);
+  return apack;
 }
+
+}  // namespace
 
 void gemm_packed(const GemmPlan& plan, const float* a, const float* b,
                  float* c, bool accumulate) {
   gemm_packed_impl(plan, a, /*apack_full=*/nullptr, b, c, accumulate);
 }
 
-void gemm_packed_prepacked_a(const GemmPlan& plan, const float* apack,
-                             const float* b, float* c, bool accumulate) {
-  gemm_packed_impl(plan, /*a=*/nullptr, apack, b, c, accumulate);
+WeightGemm::WeightGemm(const GemmPlan& plan, const float* a)
+    : plan_(plan), a_(a) {
+  if (plan_.strategy == GemmStrategy::kPacked) apack_ = pack_a(plan_, a_);
+}
+
+void WeightGemm::run(const float* b, float* c) const {
+  const GemmShape& s = plan_.shape;
+  if (plan_.strategy == GemmStrategy::kPacked) {
+    gemm_packed_impl(plan_, /*a=*/nullptr, apack_.data(), b, c,
+                     /*accumulate=*/false);
+    return;
+  }
+  switch (s.op) {
+    case GemmOp::kNN:
+      matmul_reference(a_, b, c, s.m, s.k, s.n);
+      return;
+    case GemmOp::kAT:
+      matmul_at_reference(a_, b, c, s.m, s.k, s.n);
+      return;
+    case GemmOp::kBT:
+      matmul_bt_reference(a_, b, c, s.m, s.k, s.n);
+      return;
+  }
 }
 
 }  // namespace fleda

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "tensor/plan.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fleda {
@@ -113,13 +112,11 @@ void matmul_bt_reference(const float* a, const float* b, float* c,
       /*grain=*/4);
 }
 
-// Planner dispatch: one cached-plan lookup, then the strategy the cost
-// model picked for this shape.
+// Planner dispatch: the strategy gemm_plan picks for this shape.
 
 void matmul(const float* a, const float* b, float* c, std::int64_t m,
             std::int64_t k, std::int64_t n, bool accumulate) {
-  const GemmPlan plan =
-      KernelPlanCache::global().plan_for(GemmOp::kNN, m, k, n);
+  const GemmPlan plan = gemm_plan(GemmOp::kNN, m, k, n);
   if (plan.strategy == GemmStrategy::kPacked) {
     gemm_packed(plan, a, b, c, accumulate);
     return;
@@ -129,8 +126,7 @@ void matmul(const float* a, const float* b, float* c, std::int64_t m,
 
 void matmul_at(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, bool accumulate) {
-  const GemmPlan plan =
-      KernelPlanCache::global().plan_for(GemmOp::kAT, m, k, n);
+  const GemmPlan plan = gemm_plan(GemmOp::kAT, m, k, n);
   if (plan.strategy == GemmStrategy::kPacked) {
     gemm_packed(plan, a, b, c, accumulate);
     return;
@@ -140,8 +136,7 @@ void matmul_at(const float* a, const float* b, float* c, std::int64_t m,
 
 void matmul_bt(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, bool accumulate) {
-  const GemmPlan plan =
-      KernelPlanCache::global().plan_for(GemmOp::kBT, m, k, n);
+  const GemmPlan plan = gemm_plan(GemmOp::kBT, m, k, n);
   if (plan.strategy == GemmStrategy::kPacked) {
     gemm_packed(plan, a, b, c, accumulate);
     return;

@@ -1,11 +1,9 @@
 #include "tensor/plan.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <deque>
-
-#include "obs/profiler.hpp"
-#include "util/thread_safety.hpp"
+#include <stdexcept>
 
 namespace fleda {
 namespace {
@@ -24,15 +22,17 @@ std::int64_t round_down(std::int64_t v, std::int64_t to) {
   return v / to * to;
 }
 
-std::atomic<int> g_plan_mode{-1};  // -1 = not yet read from env
-
 PlanMode mode_from_env() {
   const char* env = std::getenv("FLEDA_PLAN");
-  if (env != nullptr && std::string(env) == "reference") {
-    return PlanMode::kReference;
-  }
-  return PlanMode::kAuto;  // default; unknown values fall back to auto
+  return env == nullptr ? PlanMode::kAuto : parse_plan_mode(env);
 }
+
+// Read during static initialization, on the main thread before any
+// pool worker exists, so a bad FLEDA_PLAN ends the process at start-up
+// with parse_plan_mode's message. Read lazily, the first GEMM could run
+// on a pool worker, and parallel_for does not carry exceptions back to
+// its caller.
+std::atomic<int> g_plan_mode{static_cast<int>(mode_from_env())};
 
 }  // namespace
 
@@ -59,12 +59,15 @@ const char* to_string(GemmStrategy strategy) {
 }
 
 PlanMode plan_mode() {
-  int mode = g_plan_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    mode = static_cast<int>(mode_from_env());
-    g_plan_mode.store(mode, std::memory_order_relaxed);
-  }
-  return static_cast<PlanMode>(mode);
+  return static_cast<PlanMode>(g_plan_mode.load(std::memory_order_relaxed));
+}
+
+PlanMode parse_plan_mode(std::string_view value) {
+  if (value == "auto") return PlanMode::kAuto;
+  if (value == "reference") return PlanMode::kReference;
+  throw std::invalid_argument("FLEDA_PLAN='" + std::string(value) +
+                              "' is not a plan mode; expected 'auto' or "
+                              "'reference'");
 }
 
 void set_plan_mode(PlanMode mode) {
@@ -128,163 +131,15 @@ GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
   return plan;
 }
 
-// --------------------------------------------------------------------
-// KernelPlanCache
-
-namespace {
-
-constexpr std::size_t kNumShards = 8;
-
-std::size_t shard_index(const GemmShape& s) {
-  // FNV-1a over the shape fields; shard by the low bits.
-  std::uint64_t h = 1469598103934665603ull;
-  const std::uint64_t fields[4] = {
-      static_cast<std::uint64_t>(s.op), static_cast<std::uint64_t>(s.m),
-      static_cast<std::uint64_t>(s.k), static_cast<std::uint64_t>(s.n)};
-  for (std::uint64_t f : fields) {
-    h ^= f;
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::size_t>(h % kNumShards);
-}
-
-// Per-thread memo of the most recent plans: the per-sample GEMM loops
-// of a conv layer hit the same handful of shapes thousands of times,
-// and this keeps even the shared-lock acquisition off that path. The
-// epoch invalidates every memo when a cache is cleared.
-struct PlanMemoEntry {
-  const void* cache = nullptr;
-  std::uint64_t epoch = 0;
-  GemmShape shape;
+GemmPlan gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
+                   std::int64_t n) {
+  if (plan_mode() == PlanMode::kAuto) return make_gemm_plan(op, m, k, n);
   GemmPlan plan;
-  bool valid = false;
-};
-
-constexpr std::size_t kMemoSlots = 4;
-
-thread_local PlanMemoEntry t_plan_memo[kMemoSlots];
-thread_local std::size_t t_plan_memo_next = 0;
-
-std::atomic<std::uint64_t> g_plan_epoch{1};
-
-}  // namespace
-
-struct KernelPlanCache::Shard {
-  mutable SharedMutex mutex;
-  // Insertion-ordered (deque front = oldest) for FIFO eviction; linear
-  // search is fine at these sizes (a run holds tens of shapes).
-  std::deque<std::pair<GemmShape, GemmPlan>> entries FLEDA_GUARDED_BY(mutex);
-  // Stats are atomics precisely so the read paths can bump them under
-  // only the shared (reader) lock.
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> evictions{0};
-};
-
-KernelPlanCache::KernelPlanCache(std::size_t capacity_per_shard)
-    : shards_(new Shard[kNumShards]),
-      capacity_per_shard_(capacity_per_shard > 0 ? capacity_per_shard : 1) {}
-
-KernelPlanCache::~KernelPlanCache() {
-  delete[] shards_;
-  // A later cache may reuse this address; the epoch bump keeps stale
-  // thread-local memo entries from answering for it.
-  g_plan_epoch.fetch_add(1, std::memory_order_acq_rel);
-}
-
-KernelPlanCache& KernelPlanCache::global() {
-  static KernelPlanCache cache;
-  return cache;
-}
-
-GemmPlan KernelPlanCache::lookup_or_plan(const GemmShape& shape) {
-  Shard& shard = shards_[shard_index(shape)];
-  {
-    SharedReaderLock lock(shard.mutex);
-    for (const auto& entry : shard.entries) {
-      if (entry.first == shape) {
-        shard.hits.fetch_add(1, std::memory_order_relaxed);
-        return entry.second;
-      }
-    }
-  }
-  // Miss: plan outside any lock (the cost model is pure), then insert
-  // under the exclusive lock, rechecking for a racing inserter.
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  GemmPlan plan;
-  {
-    ProfileScope planning(phase::kKernelPlan);
-    plan = make_gemm_plan(shape.op, shape.m, shape.k, shape.n);
-  }
-  SharedWriterLock lock(shard.mutex);
-  for (const auto& entry : shard.entries) {
-    if (entry.first == shape) return entry.second;
-  }
-  shard.entries.emplace_back(shape, plan);
-  while (shard.entries.size() > capacity_per_shard_) {
-    shard.entries.pop_front();
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
-  }
+  plan.shape = GemmShape{op, m, k, n};
+  plan.strategy = GemmStrategy::kReference;
+  plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
+               static_cast<double>(n);
   return plan;
-}
-
-GemmPlan KernelPlanCache::plan_for(GemmOp op, std::int64_t m, std::int64_t k,
-                                   std::int64_t n) {
-  if (plan_mode() == PlanMode::kReference) {
-    GemmPlan plan;
-    plan.shape = GemmShape{op, m, k, n};
-    plan.strategy = GemmStrategy::kReference;
-    plan.flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-                 static_cast<double>(n);
-    return plan;
-  }
-  const GemmShape shape{op, m, k, n};
-  const std::uint64_t epoch = g_plan_epoch.load(std::memory_order_acquire);
-  for (const PlanMemoEntry& memo : t_plan_memo) {
-    if (memo.valid && memo.cache == this && memo.epoch == epoch &&
-        memo.shape == shape) {
-      // A memo hit is logically a cache hit; one relaxed add keeps the
-      // stats honest without taking any lock.
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      return memo.plan;
-    }
-  }
-  GemmPlan plan = lookup_or_plan(shape);
-  PlanMemoEntry& slot = t_plan_memo[t_plan_memo_next];
-  t_plan_memo_next = (t_plan_memo_next + 1) % kMemoSlots;
-  slot.cache = this;
-  slot.epoch = epoch;
-  slot.shape = shape;
-  slot.plan = plan;
-  slot.valid = true;
-  return plan;
-}
-
-PlanCacheStats KernelPlanCache::stats() const {
-  PlanCacheStats stats;
-  stats.hits = memo_hits_.load(std::memory_order_relaxed);
-  for (std::size_t s = 0; s < kNumShards; ++s) {
-    const Shard& shard = shards_[s];
-    stats.hits += shard.hits.load(std::memory_order_relaxed);
-    stats.misses += shard.misses.load(std::memory_order_relaxed);
-    stats.evictions += shard.evictions.load(std::memory_order_relaxed);
-    SharedReaderLock lock(shard.mutex);
-    stats.entries += shard.entries.size();
-  }
-  return stats;
-}
-
-void KernelPlanCache::clear() {
-  for (std::size_t s = 0; s < kNumShards; ++s) {
-    Shard& shard = shards_[s];
-    SharedWriterLock lock(shard.mutex);
-    shard.entries.clear();
-    shard.hits.store(0, std::memory_order_relaxed);
-    shard.misses.store(0, std::memory_order_relaxed);
-    shard.evictions.store(0, std::memory_order_relaxed);
-  }
-  memo_hits_.store(0, std::memory_order_relaxed);
-  g_plan_epoch.fetch_add(1, std::memory_order_acq_rel);
 }
 
 }  // namespace fleda

@@ -1,15 +1,14 @@
-// Shape-keyed kernel planner for the dense GEMM family.
+// Shape-keyed kernel planning for the dense GEMM family.
 //
-// Every matmul / matmul_at / matmul_bt call consults a KernelPlanCache
-// keyed by (op, m, k, n): the first call for a shape runs a small cost
-// model (shape vs the L1/L2 working sets) and decides between the
+// Every matmul / matmul_at / matmul_bt call and every WeightGemm asks
+// gemm_plan() for the plan of its (op, m, k, n) shape. A small cost
+// model (shape vs the L1/L2 working sets) decides between the
 // historical axpy kernels ("reference" — best for skinny shapes) and a
 // packed cache-blocked GEMM ("packed" — B panels packed into aligned
 // scratch, a register-tiled MR x NR micro-kernel, and MC/KC/NC cache
-// blocking). The decision is cached and reused for the rest of the
-// process, which is the poplibs ConvPlan/ConvReuse pattern: conv layer
-// shapes never change across a federated run, so the planning cost is
-// paid once per shape, not once per step.
+// blocking). The plan is computed on every call: it is a pure function
+// of the shape that costs about a dozen integer operations, so there is
+// nothing worth caching.
 //
 // Determinism contract: a plan is a pure function of the shape (never
 // of the thread-pool size), the packed kernel partitions rows into
@@ -21,10 +20,9 @@
 // kernels everywhere when bit-compatibility with old runs matters.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace fleda {
 
@@ -39,10 +37,16 @@ enum class GemmStrategy : std::uint8_t { kReference = 0, kPacked = 1 };
 const char* to_string(GemmStrategy strategy);
 
 // FLEDA_PLAN=reference forces the historical kernels for every shape;
-// FLEDA_PLAN=auto (the default) lets the cost model choose.
+// FLEDA_PLAN=auto (the default) lets the cost model choose. The
+// variable is read before main, so a bad value stops the process on
+// the main thread with parse_plan_mode's message.
 enum class PlanMode : std::uint8_t { kAuto = 0, kReference = 1 };
 PlanMode plan_mode();
 void set_plan_mode(PlanMode mode);  // overrides the environment
+
+// "auto" or "reference"; any other value, the empty string included,
+// throws std::invalid_argument naming the value and both accepted ones.
+PlanMode parse_plan_mode(std::string_view value);
 
 // Register micro-tile of the packed kernel: MR rows x NR columns of C
 // held in accumulators across a whole KC block.
@@ -54,10 +58,6 @@ struct GemmShape {
   std::int64_t m = 0;
   std::int64_t k = 0;
   std::int64_t n = 0;
-
-  bool operator==(const GemmShape& other) const {
-    return op == other.op && m == other.m && k == other.k && n == other.n;
-  }
 };
 
 struct GemmPlan {
@@ -75,81 +75,20 @@ struct GemmPlan {
 
 // The cost model: pure function of shape (and compile-time cache-size
 // constants), never of thread count or environment. Exposed so tests
-// and benches can force strategies without going through the cache.
+// and benches can force strategies regardless of the plan mode.
 GemmPlan make_gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
                         std::int64_t n);
 
-struct PlanCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-};
+// The plan a GEMM of this shape runs under the current PlanMode: a
+// reference plan in kReference mode, make_gemm_plan otherwise.
+GemmPlan gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
+                   std::int64_t n);
 
-// Sharded, read-mostly plan cache. Lookups take a shared lock on one
-// shard (readers never serialize each other) after a thread-local memo
-// of the most recent shapes, so the per-matmul overhead in a
-// parallel_for worker is a handful of loads. Plans are returned by
-// value — eviction can never dangle a caller's plan.
-class KernelPlanCache {
- public:
-  // `capacity_per_shard` bounds each shard; the oldest entry is evicted
-  // (FIFO) when a shard overflows. The default is far above what any
-  // real model needs (a run has tens of distinct GEMM shapes).
-  explicit KernelPlanCache(std::size_t capacity_per_shard = 64);
-  ~KernelPlanCache();
-
-  KernelPlanCache(const KernelPlanCache&) = delete;
-  KernelPlanCache& operator=(const KernelPlanCache&) = delete;
-
-  static KernelPlanCache& global();
-
-  // The plan for a shape under the current PlanMode: kReference mode
-  // short-circuits to a reference plan without touching the cache;
-  // kAuto consults the cache and runs the cost model on a miss (inside
-  // a kernel/plan profiler span).
-  GemmPlan plan_for(GemmOp op, std::int64_t m, std::int64_t k,
-                    std::int64_t n);
-
-  PlanCacheStats stats() const;
-
-  // Drops every entry and zeroes the stats; invalidates the per-thread
-  // memos via an epoch bump. Not for hot paths.
-  void clear();
-
- private:
-  struct Shard;
-  GemmPlan lookup_or_plan(const GemmShape& shape);
-
-  Shard* shards_;
-  std::size_t capacity_per_shard_;
-  std::atomic<std::uint64_t> memo_hits_{0};
-};
-
-// ---------------------------------------------------------------------
-// Packed kernel entry points (gemm_packed.cpp). All of them require
-// plan.strategy == kPacked and operate on the layouts implied by
-// plan.shape.op.
-
-// Elements (floats) of a fully packed A operand for `plan` — the
-// zero-padded MR micro-panel layout reused across many GEMM calls
-// (conv packs its weight matrix once per step and shares the panels
-// across the whole batch).
-std::size_t packed_a_elems(const GemmPlan& plan);
-
-// Packs the whole A operand into `apack` (packed_a_elems floats,
-// ideally 64-byte aligned). Rows beyond m inside the last MR panel are
-// zero-filled.
-void pack_a(const GemmPlan& plan, const float* a, float* apack);
-
-// C = A*B (+C when accumulate) under `plan`. Packs B panels into the
-// calling thread's aligned scratch and A micro-panels on the fly.
+// C = op(A) * B (+C when accumulate) under a packed `plan`, on the
+// layouts implied by plan.shape.op (gemm_packed.cpp). Packs B panels
+// into the calling thread's aligned scratch and A micro-panels on the
+// fly.
 void gemm_packed(const GemmPlan& plan, const float* a, const float* b,
                  float* c, bool accumulate);
-
-// Same, but A was packed up front with pack_a (shared, read-only —
-// safe to use concurrently from batch-parallel workers).
-void gemm_packed_prepacked_a(const GemmPlan& plan, const float* apack,
-                             const float* b, float* c, bool accumulate);
 
 }  // namespace fleda

@@ -13,12 +13,11 @@ namespace fleda {
 enum class ScratchSlot : int {
   kCols = 0,
   kColsGrad = 1,
-  kAux = 2,
-  kPackA = 3,  // packed A micro-panels (gemm_packed)
-  kPackB = 4,  // packed B panel block (gemm_packed)
+  kPackA = 2,  // packed A micro-panels (gemm_packed)
+  kPackB = 3,  // packed B panel block (gemm_packed)
 };
 
-inline constexpr int kNumScratchSlots = 5;
+inline constexpr int kNumScratchSlots = 4;
 
 // Returns a thread-local float buffer of at least `n` elements for the
 // given slot. Contents are unspecified — callers must fully overwrite

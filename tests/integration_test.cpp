@@ -42,16 +42,16 @@ TEST(ExperimentIntegration, PreparesNineClientTable2Dataset) {
 
 TEST(ExperimentIntegration, RunMethodRequiresData) {
   Experiment exp(smoke_config());
-  EXPECT_THROW(exp.run_method(TrainingMethod::kFedProx), std::logic_error);
+  EXPECT_THROW(exp.run_method("fedprox"), std::logic_error);
 }
 
-class AllMethods : public ::testing::TestWithParam<TrainingMethod> {};
+class AllMethods : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllMethods, ProducesValidRow) {
   Experiment exp(smoke_config());
   exp.prepare_data();
   MethodResult row = exp.run_method(GetParam());
-  EXPECT_EQ(row.method, to_string(GetParam()));
+  EXPECT_EQ(row.method, display_name(GetParam()));
   ASSERT_EQ(row.client_auc.size(), 9u);
   for (double auc : row.client_auc) {
     EXPECT_GE(auc, 0.0);
@@ -62,37 +62,28 @@ TEST_P(AllMethods, ProducesValidRow) {
 
 INSTANTIATE_TEST_SUITE_P(
     Methods, AllMethods,
-    ::testing::Values(TrainingMethod::kLocal, TrainingMethod::kCentral,
-                      TrainingMethod::kFedAvg, TrainingMethod::kFedProx,
-                      TrainingMethod::kFedProxLG, TrainingMethod::kIFCA,
-                      TrainingMethod::kFedProxFineTune,
-                      TrainingMethod::kAssignedClustering,
-                      TrainingMethod::kAlphaPortionSync),
+    ::testing::Values("local", "central", "fedavg", "fedprox", "fedprox_lg",
+                      "ifca", "fedprox_finetune", "assigned_clustering",
+                      "alpha_sync"),
     [](const auto& info) {
-      std::string name = to_string(info.param);
+      std::string name = display_name(info.param);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
       return name;
     });
 
-TEST(ExperimentIntegration, EnumShimMapsOntoRegistryNames) {
-  // The deprecated TrainingMethod enum is a thin shim over registry
-  // names: every federated value resolves to a registered algorithm,
+TEST(ExperimentIntegration, BuiltInNamesAreRegisteredWithPaperLabels) {
+  // Every built-in federated method resolves to a registered algorithm,
   // and the display labels the tables rely on are preserved.
-  for (TrainingMethod m :
-       {TrainingMethod::kFedAvg, TrainingMethod::kFedProx,
-        TrainingMethod::kFedProxLG, TrainingMethod::kIFCA,
-        TrainingMethod::kFedProxFineTune, TrainingMethod::kAssignedClustering,
-        TrainingMethod::kAlphaPortionSync, TrainingMethod::kAsyncFedAvg}) {
-    const std::string name = registry_name(m);
+  for (const char* name :
+       {"fedavg", "fedprox", "fedprox_lg", "ifca", "fedprox_finetune",
+        "assigned_clustering", "alpha_sync", "async_fedavg"}) {
     EXPECT_TRUE(AlgorithmRegistry::global().contains(name)) << name;
-    EXPECT_EQ(display_name(name), to_string(m));
+    EXPECT_NE(display_name(name), name) << name;
   }
-  EXPECT_EQ(registry_name(TrainingMethod::kLocal), "local");
-  EXPECT_EQ(registry_name(TrainingMethod::kCentral), "central");
-  EXPECT_EQ(to_string(TrainingMethod::kFedProx), "FedProx");
-  EXPECT_EQ(to_string(TrainingMethod::kLocal), "Local Average (b1 to b9)");
+  EXPECT_EQ(display_name("fedprox"), "FedProx");
+  EXPECT_EQ(display_name("local"), "Local Average (b1 to b9)");
   // Unregistered names display as themselves.
   EXPECT_EQ(display_name("dp_fedprox"), "dp_fedprox");
 }
@@ -123,17 +114,21 @@ TEST(ExperimentIntegration, RunMethodByNameAndUnknownNameThrows) {
 }
 
 TEST(ExperimentIntegration, PaperMethodListMatchesTableRows) {
-  std::vector<TrainingMethod> methods = paper_table_methods();
+  const std::vector<std::string> methods = paper_table_methods();
   ASSERT_EQ(methods.size(), 8u);
-  EXPECT_EQ(methods.front(), TrainingMethod::kLocal);
-  EXPECT_EQ(methods[1], TrainingMethod::kCentral);
-  EXPECT_EQ(methods[5], TrainingMethod::kFedProxFineTune);
+  EXPECT_EQ(methods.front(), "local");
+  EXPECT_EQ(methods[1], "central");
+  EXPECT_EQ(methods[5], "fedprox_finetune");
+  for (std::size_t i = 2; i < methods.size(); ++i) {
+    EXPECT_TRUE(AlgorithmRegistry::global().contains(methods[i]))
+        << methods[i];
+  }
 }
 
 TEST(ExperimentIntegration, ConvergenceSeriesHasOnePointPerRound) {
   Experiment exp(smoke_config());
   exp.prepare_data();
-  auto series = exp.run_convergence(TrainingMethod::kFedProx);
+  auto series = exp.run_convergence("fedprox");
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].round, 0);
   EXPECT_EQ(series[1].round, 1);
@@ -141,7 +136,7 @@ TEST(ExperimentIntegration, ConvergenceSeriesHasOnePointPerRound) {
     EXPECT_GE(pt.average_auc, 0.0);
     EXPECT_LE(pt.average_auc, 1.0);
   }
-  EXPECT_THROW(exp.run_convergence(TrainingMethod::kLocal),
+  EXPECT_THROW(exp.run_convergence("local"),
                std::invalid_argument);
 }
 
