@@ -29,6 +29,7 @@ class FLNetBN : public RoutabilityModel {
     c1.kernel = kernel;
     c1.same_padding();
     c1.bias = false;  // BN follows
+    c1.input_grad = false;  // the model input needs no gradient
     net_.emplace<Conv2d>("input_conv", c1, rng);
     net_.emplace<BatchNorm2d>("bn", BatchNorm2dOptions{64});
     net_.emplace<ReLU>("relu");

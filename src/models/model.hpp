@@ -29,6 +29,13 @@ class RoutabilityModel : public Module {
   // Number of input feature channels the model was built for.
   virtual std::int64_t in_channels() const = 0;
 
+  // Module::backward, except that it returns no input gradient (an
+  // empty tensor): nothing trains the input features, so every model
+  // builds its first conv with Conv2dOptions::input_grad = false and
+  // skips that layer's data-gradient GEMM and col2im. Parameter
+  // gradients are exactly those of a full backward.
+  Tensor backward(const Tensor& grad_output) override = 0;
+
   // Process-wide instance accounting. The scratch-model pool keeps a
   // thousand-client federation at O(threads) live models; these
   // counters are how tests and benches assert that invariant.

@@ -6,11 +6,12 @@ namespace fleda {
 namespace {
 
 Conv2dOptions conv_opts(std::int64_t cin, std::int64_t cout,
-                        std::int64_t kernel) {
+                        std::int64_t kernel, bool input_grad = true) {
   Conv2dOptions c;
   c.in_channels = cin;
   c.out_channels = cout;
   c.kernel = kernel;
+  c.input_grad = input_grad;
   return c.same_padding();
 }
 
@@ -28,7 +29,10 @@ ConvTranspose2dOptions deconv_opts(std::int64_t cin, std::int64_t cout) {
 
 RouteNet::RouteNet(const RouteNetOptions& opts, Rng& rng)
     : opts_(opts),
-      conv1_("conv1", conv_opts(opts.in_channels, opts.base_filters, 9), rng),
+      conv1_("conv1",
+             conv_opts(opts.in_channels, opts.base_filters, 9,
+                       /*input_grad=*/false),
+             rng),
       relu1_("relu1"),
       conv2_("conv2", conv_opts(opts.base_filters, 2 * opts.base_filters, 7),
              rng),

@@ -1,6 +1,7 @@
 #include "nn/conv2d.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -66,11 +67,14 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // y = W [Cout x rows] * cols [rows x OHW]; the weight is packed (when
-  // the plan says so) once for the whole batch.
-  const WeightGemm gemm(gemm_plan(GemmOp::kNN, opts_.out_channels,
-                                  g.col_rows(), g.col_cols()),
-                        weight_.value.data());
+  // y = W [Cout x rows] * cols [rows x OHW], summed over bands of the
+  // column matrix; the weight is packed (when the plan says so) once
+  // for the whole batch.
+  const std::int64_t rows = g.col_rows();
+  const WeightGemm gemm(
+      gemm_plan(GemmOp::kNN, opts_.out_channels, rows, g.col_cols()),
+      weight_.value.data());
+  const std::int64_t band = lowering_band_rows(gemm.plan());
 
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
@@ -79,13 +83,15 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   parallel_for(static_cast<std::size_t>(N), [&](std::size_t nb,
                                                 std::size_t ne) {
     float* cols = thread_scratch(
-        ScratchSlot::kCols,
-        static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+        ScratchSlot::kCols, static_cast<std::size_t>(band * g.col_cols()));
     for (std::size_t n = nb; n < ne; ++n) {
-      im2col(input.data() + static_cast<std::int64_t>(n) * in_stride, g,
-             cols);
+      const float* x = input.data() + static_cast<std::int64_t>(n) * in_stride;
       float* out = output.data() + static_cast<std::int64_t>(n) * out_stride;
-      gemm.run(cols, out);
+      for (std::int64_t r0 = 0; r0 < rows; r0 += band) {
+        const std::int64_t r1 = std::min(rows, r0 + band);
+        im2col(x, g, r0, r1, cols);
+        gemm.run_band(r0, r1, cols, out, /*accumulate=*/r0 > 0);
+      }
       if (opts_.bias) {
         for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
           const float b = bias_.value[co];
@@ -114,16 +120,29 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                                 grad_output.shape().to_string());
   }
 
-  Tensor grad_input(input.shape());
+  const bool input_grad = opts_.input_grad;
+  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
+  const std::int64_t rows = g.col_rows();
 
-  // dcols = W^T [rows x Cout] * dy [Cout x OHW] reuses the weight across
-  // the whole batch. dW's GEMM has a per-sample A (dy), so it goes
-  // through the dispatching matmul_bt below.
-  const WeightGemm dx_gemm(gemm_plan(GemmOp::kAT, g.col_rows(),
-                                     opts_.out_channels, g.col_cols()),
-                           weight_.value.data());
+  // Per band of the column matrix: dW[:, band] += dy [Cout x OHW] *
+  // cols_band^T, and (when the input gradient is wanted) dcols_band =
+  // W[:, band]^T * dy, scattered back by col2im. dW's GEMM has a
+  // per-sample A (dy), so it runs as a plain gemm_band; dcols reuses
+  // the weight across the whole batch. A packed plan takes the whole
+  // matrix as one band and reference plans over the same columns
+  // agree, so the larger of the two heights serves both.
+  const GemmPlan dw_plan =
+      gemm_plan(GemmOp::kBT, opts_.out_channels, g.col_cols(), rows);
+  std::int64_t band = lowering_band_rows(dw_plan);
+  std::optional<WeightGemm> dx_gemm;
+  if (input_grad) {
+    dx_gemm.emplace(
+        gemm_plan(GemmOp::kAT, rows, opts_.out_channels, g.col_cols()),
+        weight_.value.data());
+    band = std::max(band, lowering_band_rows(dx_gemm->plan()));
+  }
 
   // Batch-parallel over a FIXED number of slices (independent of the
   // thread-pool size), each with its own dW/db partial, reduced
@@ -138,24 +157,32 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   std::vector<Tensor> db_partial(opts_.bias ? slices : 0,
                                  Tensor(bias_.grad.shape()));
   parallel_for(slices, [&](std::size_t sb, std::size_t se) {
-    const std::size_t col_elems =
-        static_cast<std::size_t>(g.col_rows() * g.col_cols());
-    float* cols = thread_scratch(ScratchSlot::kCols, col_elems);
-    float* dcols = thread_scratch(ScratchSlot::kColsGrad, col_elems);
+    const std::size_t band_elems =
+        static_cast<std::size_t>(band * g.col_cols());
+    float* cols = thread_scratch(ScratchSlot::kCols, band_elems);
+    float* dcols =
+        input_grad ? thread_scratch(ScratchSlot::kColsGrad, band_elems)
+                   : nullptr;
     for (std::size_t s = sb; s < se; ++s) {
       for (std::size_t n = s * span; n < std::min(batch, (s + 1) * span);
            ++n) {
+        const float* x =
+            input.data() + static_cast<std::int64_t>(n) * in_stride;
         const float* dy =
             grad_output.data() + static_cast<std::int64_t>(n) * out_stride;
-        // Recompute the column matrix (cheaper than caching per sample).
-        im2col(input.data() + static_cast<std::int64_t>(n) * in_stride, g,
-               cols);
-        // dW_s += dy [Cout x OHW] * cols^T
-        matmul_bt(dy, cols, dw_partial[s].data(), opts_.out_channels,
-                  g.col_cols(), g.col_rows(), /*accumulate=*/true);
-        dx_gemm.run(dy, dcols);
-        col2im(dcols, g,
-               grad_input.data() + static_cast<std::int64_t>(n) * in_stride);
+        for (std::int64_t r0 = 0; r0 < rows; r0 += band) {
+          const std::int64_t r1 = std::min(rows, r0 + band);
+          // Recompute the columns (cheaper than caching per sample).
+          im2col(x, g, r0, r1, cols);
+          gemm_band(dw_plan, dy, cols, dw_partial[s].data(), r0, r1,
+                    /*accumulate=*/true);
+          if (input_grad) {
+            dx_gemm->run_band(r0, r1, dy, dcols, /*accumulate=*/false);
+            col2im(dcols, g, r0, r1,
+                   grad_input.data() +
+                       static_cast<std::int64_t>(n) * in_stride);
+          }
+        }
         if (opts_.bias) {
           for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
             const float* chan = dy + co * OH * OW;
@@ -184,7 +211,8 @@ std::string Conv2d::describe() const {
          std::to_string(opts_.out_channels) + ", k=" +
          std::to_string(opts_.kernel) + ", s=" + std::to_string(opts_.stride) +
          ", p=" + std::to_string(opts_.padding) + ", d=" +
-         std::to_string(opts_.dilation) + ")";
+         std::to_string(opts_.dilation) +
+         (opts_.input_grad ? "" : ", no input grad") + ")";
 }
 
 }  // namespace fleda

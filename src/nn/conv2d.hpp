@@ -1,6 +1,15 @@
-// 2D convolution (im2col + matmul) with stride, zero padding, and
-// dilation — the workhorse of FLNet / RouteNet / PROS. Weight layout
-// is [Cout, Cin*kh*kw] (a GEMM-ready matrix), bias is [Cout].
+// 2D convolution with stride, zero padding, and dilation — the
+// workhorse of FLNet / RouteNet / PROS. Weight layout is
+// [Cout, Cin*kh*kw] (a GEMM-ready matrix), bias is [Cout].
+//
+// Each sample is lowered to its [Cin*kh*kw, OH*OW] im2col matrix one
+// band of rows at a time, and the forward GEMM, the dW GEMM and the
+// data-gradient GEMM + col2im consume each band while it is still in
+// cache (tensor/matmul.hpp, gemm_band). The band height comes from the
+// GEMM plans: the whole matrix when a plan is packed, otherwise the
+// multiple of 4 rows that fits kLoweringBandFloats. The thread scratch
+// holds one band, so a 64->1 9x9 head never materializes its 81x
+// column matrix. Results do not depend on the band height.
 #pragma once
 
 #include "nn/module.hpp"
@@ -17,6 +26,10 @@ struct Conv2dOptions {
   std::int64_t padding = 0;  // use `same_padding()` for odd kernels
   std::int64_t dilation = 1;
   bool bias = true;
+  // false for a model's input conv: nothing reads dL/d(input), so
+  // backward accumulates dW / db only, skips the data-gradient GEMM and
+  // col2im, and returns an empty tensor.
+  bool input_grad = true;
 
   // Padding that preserves H/W at stride 1 for odd kernels.
   Conv2dOptions& same_padding() {

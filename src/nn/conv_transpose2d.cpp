@@ -81,7 +81,7 @@ Tensor ConvTranspose2d::forward(const Tensor& input, bool training) {
     for (std::size_t n = nb; n < ne; ++n) {
       gemm.run(input.data() + static_cast<std::int64_t>(n) * in_stride, cols);
       // scatter-add columns into the (zeroed) output image
-      col2im(cols, g,
+      col2im(cols, g, 0, g.col_rows(),
              output.data() + static_cast<std::int64_t>(n) * out_stride);
       if (opts_.bias) {
         float* out = output.data() + static_cast<std::int64_t>(n) * out_stride;
@@ -144,7 +144,7 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
         const float* dy =
             grad_output.data() + static_cast<std::int64_t>(n) * out_stride;
         // dcols = im2col(dy) (adjoint of the forward col2im)
-        im2col(dy, g, dcols);
+        im2col(dy, g, 0, g.col_rows(), dcols);
         dx_gemm.run(dcols, grad_input.data() +
                                static_cast<std::int64_t>(n) * in_stride);
         // dW_s += x [Cin x H*W] * dcols^T

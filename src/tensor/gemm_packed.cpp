@@ -227,23 +227,19 @@ WeightGemm::WeightGemm(const GemmPlan& plan, const float* a)
 }
 
 void WeightGemm::run(const float* b, float* c) const {
-  const GemmShape& s = plan_.shape;
-  if (plan_.strategy == GemmStrategy::kPacked) {
-    gemm_packed_impl(plan_, /*a=*/nullptr, apack_.data(), b, c,
-                     /*accumulate=*/false);
+  run_band(0, lowered_rows(plan_.shape), b, c, /*accumulate=*/false);
+}
+
+void WeightGemm::run_band(std::int64_t r0, std::int64_t r1, const float* b,
+                          float* c, bool accumulate) const {
+  // A packed plan runs only the full range (gemm_band says why), here
+  // on the panels packed once at construction.
+  if (plan_.strategy == GemmStrategy::kPacked && r0 == 0 &&
+      r1 == lowered_rows(plan_.shape)) {
+    gemm_packed_impl(plan_, /*a=*/nullptr, apack_.data(), b, c, accumulate);
     return;
   }
-  switch (s.op) {
-    case GemmOp::kNN:
-      matmul_reference(a_, b, c, s.m, s.k, s.n);
-      return;
-    case GemmOp::kAT:
-      matmul_at_reference(a_, b, c, s.m, s.k, s.n);
-      return;
-    case GemmOp::kBT:
-      matmul_bt_reference(a_, b, c, s.m, s.k, s.n);
-      return;
-  }
+  gemm_band(plan_, a_, b, c, r0, r1, accumulate);
 }
 
 }  // namespace fleda

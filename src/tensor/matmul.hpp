@@ -44,6 +44,39 @@ void matmul_bt_reference(const float* a, const float* b, float* c,
                          std::int64_t m, std::int64_t k, std::int64_t n,
                          bool accumulate = false);
 
+// Banded GEMMs for convolution lowering. In each op one operand is
+// the lowered (im2col) matrix, row-major [rows, cols]: kNN's B [k, n],
+// kAT's C [m, n] and kBT's B stored [n, k]. A band is its row range
+// [r0, r1), held contiguously in an (r1 - r0)-row buffer, so a layer
+// can lower and consume one cache-resident band at a time:
+//   kNN: c[m, n]    (+)= A[:, r0:r1) * band      (a slice of the depth)
+//   kAT: band       (+)= A[:, r0:r1)^T * b       (rows of C)
+//   kBT: c[:, r0:r1) (+)= A * band^T             (columns of C)
+// Under a reference plan each output float sees the operations of the
+// full GEMM in the same order, provided every band but the last is a
+// multiple of 4 rows (the axpy4 grouping of the reference k loop) and
+// the kNN bands after the first accumulate. A packed plan's summation
+// order depends on its whole shape, so it runs only the full range.
+
+// Floats per band that keep the band in L1 (32 KB) while it is lowered
+// and consumed.
+inline constexpr std::int64_t kLoweringBandFloats = 8192;
+
+// Rows of `shape`'s lowered operand: k for kNN, m for kAT, n for kBT.
+std::int64_t lowered_rows(const GemmShape& shape);
+
+// Rows per band for `plan`: all of them under a packed plan; otherwise
+// the largest multiple of 4 whose band fits kLoweringBandFloats (at
+// least 4, at most all rows). Two reference plans over the same
+// lowered matrix get the same height.
+std::int64_t lowering_band_rows(const GemmPlan& plan);
+
+// Runs the band [r0, r1) of `plan`'s GEMM as described above, on the
+// reference kernel of its op or, for the full range only, the packed
+// GEMM.
+void gemm_band(const GemmPlan& plan, const float* a, const float* b, float* c,
+               std::int64_t r0, std::int64_t r1, bool accumulate);
+
 // C = op(A) * B for an A operand that stays fixed across many calls —
 // a layer weight shared by every sample of a step. Under a packed plan
 // the constructor packs A once and every run() reads the shared panels;
@@ -57,6 +90,13 @@ class WeightGemm {
 
   // c[m,n] = op(A) * b, overwriting c; b's layout follows the plan's op.
   void run(const float* b, float* c) const;
+
+  // gemm_band on the fixed A: the band [r0, r1) of the lowered
+  // operand. run() is the full range without accumulation.
+  void run_band(std::int64_t r0, std::int64_t r1, const float* b, float* c,
+                bool accumulate) const;
+
+  const GemmPlan& plan() const { return plan_; }
 
  private:
   GemmPlan plan_;

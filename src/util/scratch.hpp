@@ -1,8 +1,11 @@
 // Thread-local scratch buffers for kernel intermediates (im2col column
-// matrices, their gradients, and the packed GEMM panels). Convolution
-// layers need multi-MB temporaries per call; allocating them fresh each
-// step costs more in page faults and zero-fill than the math itself.
-// Buffers persist per thread and per slot, growing monotonically.
+// bands, their gradients, and the packed GEMM panels). Conv2d lowers a
+// band of the column matrix at a time — about 32 KB under a reference
+// plan, the whole matrix under a packed one — and the batch workers of
+// a layer each hold their own; ConvTranspose2d still lowers its whole
+// matrix. Allocating these fresh every step would cost page faults and
+// zero-fill, so buffers persist per thread and per slot, growing
+// monotonically.
 #pragma once
 
 #include <cstddef>

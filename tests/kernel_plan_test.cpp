@@ -3,9 +3,10 @@
 // shape sweep (including the degenerate and tail shapes the packing
 // zero-pads), the auto plan must be bit-identical across thread-pool
 // sizes, WeightGemm must run exactly the kernel its plan names (also
-// from concurrent batch workers), and FLEDA_PLAN must accept only
-// "auto" and "reference", the latter making a full training step use
-// the historical kernels.
+// from concurrent batch workers), the conv layers' banded lowering
+// must match a whole-matrix lowering bit for bit, and FLEDA_PLAN must
+// accept only "auto" and "reference", the latter making a full
+// training step use the historical kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,9 +17,12 @@
 
 #include "models/flnet.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv_transpose2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/plan.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -241,6 +245,240 @@ TEST(GemmPacked, ConvForwardBackwardBitIdenticalAcrossPoolSizes) {
                              static_cast<std::size_t>(grads[0].numel()) *
                                  sizeof(float)));
   }
+}
+
+// ---- Conv layers against their whole-matrix lowering ----
+
+bool bits_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+Tensor random_input(const Shape& shape, Rng& rng) {
+  Tensor t(shape);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return t;
+}
+
+struct LayerResults {
+  Tensor y, dx, dw, db;
+};
+
+// Adds bias[co] to every pixel of each channel of one sample.
+void add_bias(const Tensor& bias, std::int64_t pixels, float* out) {
+  for (std::int64_t co = 0; co < bias.numel(); ++co) {
+    for (std::int64_t i = 0; i < pixels; ++i) out[co * pixels + i] += bias[co];
+  }
+}
+
+// db partial of one sample: per channel, the double sum of dy.
+void add_bias_grad(const float* dy, std::int64_t pixels, Tensor& db) {
+  Tensor partial(db.shape());
+  for (std::int64_t co = 0; co < db.numel(); ++co) {
+    double acc = 0.0;
+    for (std::int64_t i = 0; i < pixels; ++i) acc += dy[co * pixels + i];
+    partial[co] += static_cast<float>(acc);
+  }
+  add_inplace(db, partial);
+}
+
+// Conv2d lowered the way it was before banding: one full im2col matrix
+// per sample, the one-shot GEMMs the current plan mode picks for the
+// whole shape, and the layer's reduction order (batch <= 16, so one
+// sample per dW/db slice, summed in sample order).
+LayerResults conv2d_oracle(const Conv2dOptions& o, const Tensor& w,
+                           const Tensor& bias, const Tensor& x,
+                           const Tensor& dy) {
+  ConvGeometry g;
+  g.channels = o.in_channels;
+  g.height = x.shape().dim(2);
+  g.width = x.shape().dim(3);
+  g.kernel_h = g.kernel_w = o.kernel;
+  g.pad_h = g.pad_w = o.padding;
+  g.stride_h = g.stride_w = o.stride;
+  g.dilation_h = g.dilation_w = o.dilation;
+  const std::int64_t N = x.shape().dim(0);
+  const std::int64_t rows = g.col_rows();
+  const std::int64_t pixels = g.col_cols();
+  const std::int64_t in_stride = x.numel() / N;
+  const std::int64_t out_stride = o.out_channels * pixels;
+
+  const WeightGemm fwd(gemm_plan(GemmOp::kNN, o.out_channels, rows, pixels),
+                       w.data());
+  const WeightGemm data(gemm_plan(GemmOp::kAT, rows, o.out_channels, pixels),
+                        w.data());
+  LayerResults r{Tensor(dy.shape()), Tensor(x.shape()), Tensor(w.shape()),
+                 Tensor(bias.shape())};
+  std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
+  std::vector<float> dcols(cols.size());
+  for (std::int64_t n = 0; n < N; ++n) {
+    const float* dy_n = dy.data() + n * out_stride;
+    im2col(x.data() + n * in_stride, g, 0, rows, cols.data());
+    fwd.run(cols.data(), r.y.data() + n * out_stride);
+    add_bias(bias, pixels, r.y.data() + n * out_stride);
+    Tensor dw_n(w.shape());
+    matmul_bt(dy_n, cols.data(), dw_n.data(), o.out_channels, pixels, rows,
+              /*accumulate=*/true);
+    add_inplace(r.dw, dw_n);
+    add_bias_grad(dy_n, pixels, r.db);
+    data.run(dy_n, dcols.data());
+    col2im(dcols.data(), g, 0, rows, r.dx.data() + n * in_stride);
+  }
+  return r;
+}
+
+// ConvTranspose2d's adjoint lowering, written out the same way.
+LayerResults deconv_oracle(const ConvTranspose2dOptions& o, const Tensor& w,
+                           const Tensor& bias, const Tensor& x,
+                           const Tensor& dy) {
+  ConvGeometry g;
+  g.channels = o.out_channels;
+  g.height = dy.shape().dim(2);
+  g.width = dy.shape().dim(3);
+  g.kernel_h = g.kernel_w = o.kernel;
+  g.pad_h = g.pad_w = o.padding;
+  g.stride_h = g.stride_w = o.stride;
+  const std::int64_t N = x.shape().dim(0);
+  const std::int64_t rows = g.col_rows();
+  const std::int64_t pixels = g.col_cols();  // = input H * W
+  const std::int64_t in_stride = o.in_channels * pixels;
+  const std::int64_t out_stride = dy.numel() / N;
+
+  const WeightGemm fwd(gemm_plan(GemmOp::kAT, rows, o.in_channels, pixels),
+                       w.data());
+  const WeightGemm data(gemm_plan(GemmOp::kNN, o.in_channels, rows, pixels),
+                        w.data());
+  LayerResults r{Tensor(dy.shape()), Tensor(x.shape()), Tensor(w.shape()),
+                 Tensor(bias.shape())};
+  std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
+  for (std::int64_t n = 0; n < N; ++n) {
+    const float* x_n = x.data() + n * in_stride;
+    const float* dy_n = dy.data() + n * out_stride;
+    fwd.run(x_n, cols.data());
+    col2im(cols.data(), g, 0, rows, r.y.data() + n * out_stride);
+    add_bias(bias, out_stride / o.out_channels, r.y.data() + n * out_stride);
+    im2col(dy_n, g, 0, rows, cols.data());
+    data.run(cols.data(), r.dx.data() + n * in_stride);
+    Tensor dw_n(w.shape());
+    matmul_bt(x_n, cols.data(), dw_n.data(), o.in_channels, pixels, rows,
+              /*accumulate=*/true);
+    add_inplace(r.dw, dw_n);
+    add_bias_grad(dy_n, out_stride / o.out_channels, r.db);
+  }
+  return r;
+}
+
+// Conv2d's banded lowering (and its no-input-grad variant) and
+// ConvTranspose2d must reproduce the whole-matrix lowering bit for bit:
+// forward, dW, db and dx, for single-, few- and many-output-channel
+// layers, under both plan modes, at every pool size, and with a NaN in
+// the input, which reaches every output that reads it (0 * NaN = NaN,
+// as GemmPacked.PropagatesNonFiniteValues requires of the kernels).
+TEST(ConvLowering, LayersMatchWholeMatrixLoweringBitwise) {
+  struct ConvCase {
+    std::int64_t cin, h, w, kernel, stride, dilation;
+  };
+  // Under reference plans, 3 x 81 = 243 rows of 256 pixels make eight
+  // 32-row bands with a ragged, non-multiple-of-4 last one; the
+  // strided, dilated case (100 rows of 12 x 11 pixels) makes a 60-row
+  // and a 40-row band and exercises the strided gather and scatter.
+  const std::vector<ConvCase> conv_cases = {{3, 16, 16, 9, 1, 1},
+                                            {4, 23, 21, 5, 2, 2}};
+  for (PlanMode mode : {PlanMode::kAuto, PlanMode::kReference}) {
+    const PlanModeGuard guard(mode);
+    const std::string mode_name =
+        mode == PlanMode::kAuto ? "auto" : "reference";
+    for (std::int64_t cout : {1, 3, 64}) {
+      for (const ConvCase& cc : conv_cases) {
+        Conv2dOptions o;
+        o.in_channels = cc.cin;
+        o.out_channels = cout;
+        o.kernel = cc.kernel;
+        o.stride = cc.stride;
+        o.dilation = cc.dilation;
+        o.same_padding();
+        Rng rng(static_cast<std::uint64_t>(31 + cout));
+        Tensor x = random_input(Shape::of(3, cc.cin, cc.h, cc.w), rng);
+        const std::int64_t nan_at = x.numel() / 2 + 5;
+        x[nan_at] = std::nanf("");
+        for (std::size_t threads : {1u, 2u, 8u}) {
+          ThreadPool::reset_global(threads);
+          for (bool input_grad : {true, false}) {
+            o.input_grad = input_grad;
+            Rng init(7);
+            Conv2d conv("c", o, init);
+            conv.bias().value = random_input(conv.bias().value.shape(), init);
+            const Tensor y = conv.forward(x, /*training=*/true);
+            Rng grad_rng(9);
+            const Tensor dy = random_input(y.shape(), grad_rng);
+            const Tensor dx = conv.backward(dy);
+            const LayerResults want = conv2d_oracle(
+                o, conv.weight().value, conv.bias().value, x, dy);
+            const std::string where = conv.describe() + " " + mode_name +
+                                      " pool " + std::to_string(threads);
+            EXPECT_TRUE(bits_equal(y, want.y)) << where << ": forward";
+            EXPECT_TRUE(bits_equal(conv.weight().grad, want.dw))
+                << where << ": dW";
+            EXPECT_TRUE(bits_equal(conv.bias().grad, want.db))
+                << where << ": db";
+            if (input_grad) {
+              EXPECT_TRUE(bits_equal(dx, want.dx)) << where << ": dx";
+            } else {
+              EXPECT_TRUE(dx.empty()) << where;
+            }
+            // The NaN pixel is the centre tap of its own output pixel
+            // in the stride-1 case.
+            if (cc.stride == 1) {
+              const std::int64_t pixels = cc.h * cc.w;
+              const std::int64_t sample = nan_at / (cc.cin * pixels);
+              for (std::int64_t co = 0; co < cout; ++co) {
+                EXPECT_TRUE(std::isnan(
+                    y[(sample * cout + co) * pixels + nan_at % pixels]))
+                    << where << ", channel " << co;
+              }
+            }
+          }
+        }
+      }
+    }
+    for (std::int64_t cout : {1, 3, 64}) {
+      ConvTranspose2dOptions o;
+      o.in_channels = 5;
+      o.out_channels = cout;
+      o.kernel = 4;
+      o.stride = 2;
+      o.padding = 1;
+      Rng rng(static_cast<std::uint64_t>(57 + cout));
+      Tensor x = random_input(Shape::of(2, 5, 6, 7), rng);
+      x[17] = std::nanf("");
+      for (std::size_t threads : {1u, 2u, 8u}) {
+        ThreadPool::reset_global(threads);
+        Rng init(8);
+        ConvTranspose2d deconv("d", o, init);
+        Parameter& weight = *deconv.parameters()[0];
+        Parameter& bias = *deconv.parameters()[1];
+        bias.value = random_input(bias.value.shape(), init);
+        const Tensor y = deconv.forward(x, /*training=*/true);
+        Rng grad_rng(10);
+        const Tensor dy = random_input(y.shape(), grad_rng);
+        const Tensor dx = deconv.backward(dy);
+        const LayerResults want =
+            deconv_oracle(o, weight.value, bias.value, x, dy);
+        const std::string where = deconv.describe() + " " + mode_name +
+                                  " pool " + std::to_string(threads);
+        EXPECT_TRUE(bits_equal(y, want.y)) << where << ": forward";
+        EXPECT_TRUE(bits_equal(weight.grad, want.dw)) << where << ": dW";
+        EXPECT_TRUE(bits_equal(bias.grad, want.db))
+            << where << ": db";
+        EXPECT_TRUE(bits_equal(dx, want.dx)) << where << ": dx";
+      }
+    }
+  }
+  ThreadPool::reset_global(0);
 }
 
 TEST(CostModel, SkinnyShapesStayOnReference) {

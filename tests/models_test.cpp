@@ -1,18 +1,28 @@
 // Tests for the three routability models: Table 1 conformance for
-// FLNet, shape contracts, gradient flow, parameter-count ordering
-// (FLNet << RouteNet < PROS per the paper's robustness argument), the
-// registry, and shortcut gradient correctness in RouteNet.
+// FLNet, shape contracts, gradient flow (skipping the first conv's
+// data gradient leaves every parameter gradient bitwise unchanged),
+// parameter-count ordering (FLNet << RouteNet < PROS per the paper's
+// robustness argument), the registry, and shortcut gradient
+// correctness in RouteNet.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <set>
 
 #include "models/flnet.hpp"
 #include "models/pros.hpp"
 #include "models/registry.hpp"
 #include "models/routenet.hpp"
+#include "nn/batchnorm2d.hpp"
+#include "nn/conv_transpose2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/pixel_shuffle.hpp"
+#include "nn/pooling.hpp"
+#include "nn/sequential.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -67,13 +77,142 @@ TEST_P(AllModels, PreservesSpatialShape) {
   EXPECT_EQ(y.shape(), (Shape{2, 1, 16, 16})) << model->model_name();
 }
 
-TEST_P(AllModels, BackwardReturnsInputShapedGradient) {
+// ---- Full-backward twins ----
+// Each model rebuilt from its public layers, under the model's layer
+// names, with every conv computing its input gradient: the backward the
+// models ran before their first conv stopped computing dL/d(input).
+
+Conv2dOptions twin_conv(std::int64_t cin, std::int64_t cout,
+                        std::int64_t kernel, std::int64_t stride = 1,
+                        std::int64_t dilation = 1) {
+  Conv2dOptions c;
+  c.in_channels = cin;
+  c.out_channels = cout;
+  c.kernel = kernel;
+  c.stride = stride;
+  c.dilation = dilation;
+  return c.same_padding();
+}
+
+void twin_conv_bn_relu(Sequential& net, const std::string& name,
+                       const Conv2dOptions& c, Rng& rng) {
+  net.emplace<Conv2d>(name, c, rng);
+  net.emplace<BatchNorm2d>(name + "_bn", BatchNorm2dOptions{c.out_channels});
+  net.emplace<ReLU>(name + "_relu");
+}
+
+class RouteNetTwin : public Module {
+ public:
+  RouteNetTwin(std::int64_t cin, std::int64_t f, Rng& rng)
+      : conv1_("conv1", twin_conv(cin, f, 9), rng),
+        conv2_("conv2", twin_conv(f, 2 * f, 7), rng),
+        conv3_("conv3", twin_conv(2 * f, f, 9), rng),
+        conv4_("conv4", twin_conv(f, f, 7), rng),
+        deconv_("deconv", ConvTranspose2dOptions{f, f, 4, 2, 1, true}, rng),
+        output_conv_("output_conv", twin_conv(f, 1, 5), rng) {}
+
+  Tensor forward(const Tensor& x, bool t) override {
+    Tensor a = relu1_.forward(conv1_.forward(x, t), t);
+    Tensor b = relu2_.forward(conv2_.forward(a, t), t);
+    Tensor c = relu3_.forward(conv3_.forward(pool_.forward(b, t), t), t);
+    Tensor d = relu4_.forward(conv4_.forward(c, t), t);
+    Tensor u = relu5_.forward(deconv_.forward(d, t), t);
+    return output_conv_.forward(add(u, a), t);
+  }
+  Tensor backward(const Tensor& g) override {
+    Tensor gs = output_conv_.backward(g);
+    Tensor gu = deconv_.backward(relu5_.backward(gs));
+    gu = conv3_.backward(relu3_.backward(conv4_.backward(relu4_.backward(gu))));
+    Tensor ga = conv2_.backward(relu2_.backward(pool_.backward(gu)));
+    add_inplace(ga, gs);
+    return conv1_.backward(relu1_.backward(ga));
+  }
+  std::vector<Parameter*> parameters() override {
+    std::vector<Parameter*> params;
+    for (Module* m : std::initializer_list<Module*>{
+             &conv1_, &conv2_, &conv3_, &conv4_, &output_conv_, &deconv_}) {
+      for (Parameter* p : m->parameters()) params.push_back(p);
+    }
+    return params;
+  }
+  std::string describe() const override { return "RouteNet twin"; }
+
+ private:
+  Conv2d conv1_, conv2_, conv3_, conv4_;
+  ConvTranspose2d deconv_;
+  Conv2d output_conv_;
+  ReLU relu1_{"relu1"}, relu2_{"relu2"}, relu3_{"relu3"}, relu4_{"relu4"},
+      relu5_{"relu5"};
+  MaxPool2d pool_{"pool", MaxPool2dOptions{2, 2}};
+};
+
+std::unique_ptr<Module> full_backward_twin(ModelKind kind, std::int64_t cin,
+                                           Rng& rng) {
+  if (kind == ModelKind::kRouteNet) {
+    return std::make_unique<RouteNetTwin>(cin, RouteNetOptions{}.base_filters,
+                                          rng);
+  }
+  auto net = std::make_unique<Sequential>("twin");
+  if (kind == ModelKind::kFLNet) {
+    const FLNetOptions o;
+    const std::int64_t f = o.hidden_filters;
+    net->emplace<Conv2d>("input_conv", twin_conv(cin, f, o.kernel), rng);
+    net->emplace<ReLU>("relu");
+    net->emplace<Conv2d>("output_conv", twin_conv(f, 1, o.kernel), rng);
+    return net;
+  }
+  const PROSOptions o;
+  const std::int64_t f = o.base_filters;
+  twin_conv_bn_relu(*net, "enc1", twin_conv(cin, f, 3, 2), rng);
+  twin_conv_bn_relu(*net, "enc2", twin_conv(f, 2 * f, 3, 2), rng);
+  for (std::size_t i = 0; i < o.dilations.size(); ++i) {
+    twin_conv_bn_relu(*net, "dil" + std::to_string(i + 1),
+                      twin_conv(2 * f, 2 * f, 3, 1, o.dilations[i]), rng);
+  }
+  net->emplace<Conv2d>("up1", twin_conv(2 * f, f * 4, 3), rng);
+  net->emplace<PixelShuffle>("up1_shuffle", 2);
+  net->emplace<BatchNorm2d>("up1_bn", BatchNorm2dOptions{f});
+  net->emplace<ReLU>("up1_relu");
+  twin_conv_bn_relu(*net, "refine1", twin_conv(f, f, 3), rng);
+  net->emplace<Conv2d>("up2", twin_conv(f, (f / 2) * 4, 3), rng);
+  net->emplace<PixelShuffle>("up2_shuffle", 2);
+  net->emplace<BatchNorm2d>("up2_bn", BatchNorm2dOptions{f / 2});
+  net->emplace<ReLU>("up2_relu");
+  twin_conv_bn_relu(*net, "refine2", twin_conv(f / 2, f / 2, 3), rng);
+  net->emplace<Conv2d>("output_conv", twin_conv(f / 2, 1, 3), rng);
+  return net;
+}
+
+// The models' first conv computes no data gradient; every parameter
+// gradient must still be bit for bit that of the full backward.
+TEST_P(AllModels, FirstConvSkipsDataGradientWithIdenticalParameterGrads) {
   Rng rng(4);
   RoutabilityModelPtr model = make_model(GetParam(), 6, rng);
-  Tensor x = random_tensor(Shape::of(1, 6, 16, 16), rng);
-  Tensor y = model->forward(x, true);
-  Tensor dx = model->backward(Tensor::ones(y.shape()));
-  EXPECT_EQ(dx.shape(), x.shape());
+  Rng twin_rng(4);
+  std::unique_ptr<Module> twin = full_backward_twin(GetParam(), 6, twin_rng);
+  std::map<std::string, Parameter*> twin_params;
+  for (Parameter* p : twin->parameters()) twin_params[p->name] = p;
+  ASSERT_EQ(twin_params.size(), model->parameters().size());
+  for (Parameter* p : model->parameters()) {
+    ASSERT_EQ(twin_params.count(p->name), 1u) << p->name;
+    twin_params[p->name]->value = p->value;
+  }
+
+  Tensor x = random_tensor(Shape::of(2, 6, 16, 16), rng);
+  Tensor g = random_tensor(Shape::of(2, 1, 16, 16), rng);
+  model->zero_grad();
+  twin->zero_grad();
+  model->forward(x, true);
+  twin->forward(x, true);
+  EXPECT_TRUE(model->backward(g).empty());
+  EXPECT_EQ(twin->backward(g).shape(), x.shape());
+  for (Parameter* p : model->parameters()) {
+    const Tensor& want = twin_params[p->name]->grad;
+    EXPECT_EQ(0, std::memcmp(p->grad.data(), want.data(),
+                             static_cast<std::size_t>(want.numel()) *
+                                 sizeof(float)))
+        << model->model_name() << ": " << p->name;
+  }
 }
 
 TEST_P(AllModels, AllParametersReceiveGradient) {

@@ -1,11 +1,15 @@
 // Unit tests for the tensor substrate: Shape, Tensor storage, element
-// ops, matmul kernels (vs naive reference), im2col/col2im adjointness,
+// ops, matmul kernels (vs naive reference), im2col/col2im against a
+// direct gather and scatter (whole and banded) and their adjointness,
 // and binary serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
@@ -281,15 +285,11 @@ ConvGeometry make_geom(const ConvGeomParam& p) {
   return g;
 }
 
-TEST_P(Im2colGeometry, MatchesDirectGather) {
-  ConvGeometry g = make_geom(GetParam());
-  Rng rng(3);
-  Tensor img = random_tensor(Shape::of(g.channels, g.height, g.width), rng);
-  Tensor cols(Shape::of(g.col_rows(), g.col_cols()));
-  im2col(img.data(), g, cols.data());
-
+// The column matrix gathered pixel by pixel, without im2col.
+Tensor direct_gather(const Tensor& img, const ConvGeometry& g) {
   const std::int64_t OH = g.out_height();
   const std::int64_t OW = g.out_width();
+  Tensor cols(Shape::of(g.col_rows(), g.col_cols()));
   for (std::int64_t c = 0; c < g.channels; ++c) {
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
@@ -302,11 +302,24 @@ TEST_P(Im2colGeometry, MatchesDirectGather) {
             if (ih >= 0 && ih < g.height && iw >= 0 && iw < g.width) {
               expected = img[(c * g.height + ih) * g.width + iw];
             }
-            EXPECT_EQ(cols[row * OH * OW + oh * OW + ow], expected);
+            cols[row * OH * OW + oh * OW + ow] = expected;
           }
         }
       }
     }
+  }
+  return cols;
+}
+
+TEST_P(Im2colGeometry, MatchesDirectGather) {
+  ConvGeometry g = make_geom(GetParam());
+  Rng rng(3);
+  Tensor img = random_tensor(Shape::of(g.channels, g.height, g.width), rng);
+  Tensor cols(Shape::of(g.col_rows(), g.col_cols()));
+  im2col(img.data(), g, 0, g.col_rows(), cols.data());
+  const Tensor expected = direct_gather(img, g);
+  for (std::int64_t i = 0; i < cols.numel(); ++i) {
+    EXPECT_EQ(cols[i], expected[i]) << "element " << i;
   }
 }
 
@@ -319,9 +332,9 @@ TEST_P(Im2colGeometry, Col2imIsAdjointOfIm2col) {
   Tensor y = random_tensor(Shape::of(g.col_rows(), g.col_cols()), rng);
 
   Tensor ix(Shape::of(g.col_rows(), g.col_cols()));
-  im2col(x.data(), g, ix.data());
+  im2col(x.data(), g, 0, g.col_rows(), ix.data());
   Tensor cy(Shape::of(g.channels, g.height, g.width));
-  col2im(y.data(), g, cy.data());
+  col2im(y.data(), g, 0, g.col_rows(), cy.data());
 
   EXPECT_NEAR(dot(ix, y), dot(x, cy), 1e-2);
 }
@@ -335,6 +348,137 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvGeomParam{2, 12, 12, 3, 2, 1, 2},
                       ConvGeomParam{1, 16, 16, 9, 4, 1, 1},
                       ConvGeomParam{4, 10, 10, 4, 1, 2, 1}));
+
+// Seeded random geometries (C 1-4, H/W 1-17, kernel 1-9, pad 0-5,
+// stride 1-3, dilation 1-3) with a positive output, plus one whose
+// rows read nothing but padding (W = 1, k = 9, pad = 4: every tap but
+// the centre column falls outside the image).
+std::vector<ConvGeometry> random_geometries(std::size_t count) {
+  Rng rng(0x62616e64ull);
+  auto pick = [&](int lo, int hi) {
+    return static_cast<std::int64_t>(lo) +
+           static_cast<std::int64_t>(rng.uniform_int(hi - lo + 1));
+  };
+  std::vector<ConvGeometry> out;
+  ConvGeometry empty_rows = make_geom(ConvGeomParam{2, 5, 1, 9, 4, 1, 1});
+  out.push_back(empty_rows);
+  while (out.size() < count) {
+    ConvGeometry g;
+    g.channels = pick(1, 4);
+    g.height = pick(1, 17);
+    g.width = pick(1, 17);
+    g.kernel_h = pick(1, 9);
+    g.kernel_w = pick(1, 9);
+    g.pad_h = pick(0, 5);
+    g.pad_w = pick(0, 5);
+    g.stride_h = pick(1, 3);
+    g.stride_w = pick(1, 3);
+    g.dilation_h = pick(1, 3);
+    g.dilation_w = pick(1, 3);
+    if (g.out_height() > 0 && g.out_width() > 0) out.push_back(g);
+  }
+  return out;
+}
+
+// Cut points 0 = c_0 <= c_1 <= ... <= c_j = rows, empty bands allowed.
+std::vector<std::int64_t> random_split(std::int64_t rows, Rng& rng) {
+  std::vector<std::int64_t> cuts = {0, rows};
+  const std::uint64_t extra = rng.uniform_int(6);
+  for (std::uint64_t i = 0; i < extra; ++i) {
+    cuts.push_back(static_cast<std::int64_t>(
+        rng.uniform_int(static_cast<std::uint64_t>(rows) + 1)));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  return cuts;
+}
+
+std::string describe_geometry(const ConvGeometry& g) {
+  std::ostringstream os;
+  os << "C" << g.channels << " " << g.height << "x" << g.width << " k"
+     << g.kernel_h << "x" << g.kernel_w << " p" << g.pad_h << "," << g.pad_w
+     << " s" << g.stride_h << "," << g.stride_w << " d" << g.dilation_h
+     << "," << g.dilation_w;
+  return os.str();
+}
+
+TEST(Im2colBands, ConcatenatedBandsMatchDirectGather) {
+  Rng rng(41);
+  std::int64_t empty_rows = 0;
+  for (const ConvGeometry& g : random_geometries(200)) {
+    const Tensor img =
+        random_tensor(Shape::of(g.channels, g.height, g.width), rng);
+    const Tensor expected = direct_gather(img, g);
+    const std::int64_t cols_per_row = g.col_cols();
+    for (std::int64_t row = 0; row < g.col_rows(); ++row) {
+      bool any = false;
+      for (std::int64_t j = 0; j < cols_per_row; ++j) {
+        any = any || expected[row * cols_per_row + j] != 0.0f;
+      }
+      empty_rows += any ? 0 : 1;
+    }
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::vector<std::int64_t> cuts = random_split(g.col_rows(), rng);
+      Tensor banded(Shape::of(g.col_rows(), cols_per_row), 9.0f);
+      for (std::size_t b = 0; b + 1 < cuts.size(); ++b) {
+        im2col(img.data(), g, cuts[b], cuts[b + 1],
+               banded.data() + cuts[b] * cols_per_row);
+      }
+      for (std::int64_t i = 0; i < banded.numel(); ++i) {
+        EXPECT_EQ(banded[i], expected[i])
+            << describe_geometry(g) << ", element " << i;
+      }
+    }
+  }
+  // The W = 1 geometry alone contributes rows with an empty valid range.
+  EXPECT_GT(empty_rows, 0);
+}
+
+TEST(Im2colBands, BandedCol2imMatchesFullRangeBitwise) {
+  Rng rng(43);
+  for (const ConvGeometry& g : random_geometries(200)) {
+    const std::int64_t cols_per_row = g.col_cols();
+    const Tensor cols =
+        random_tensor(Shape::of(g.col_rows(), cols_per_row), rng);
+    Tensor full(Shape::of(g.channels, g.height, g.width));
+    col2im(cols.data(), g, 0, g.col_rows(), full.data());
+
+    // Oracle: the direct scatter, rows in ascending order.
+    Tensor scatter(Shape::of(g.channels, g.height, g.width));
+    const std::int64_t OH = g.out_height();
+    const std::int64_t OW = g.out_width();
+    for (std::int64_t row = 0; row < g.col_rows(); ++row) {
+      const std::int64_t c = row / (g.kernel_h * g.kernel_w);
+      const std::int64_t kh = (row / g.kernel_w) % g.kernel_h;
+      const std::int64_t kw = row % g.kernel_w;
+      for (std::int64_t oh = 0; oh < OH; ++oh) {
+        for (std::int64_t ow = 0; ow < OW; ++ow) {
+          const std::int64_t ih = oh * g.stride_h + kh * g.dilation_h - g.pad_h;
+          const std::int64_t iw = ow * g.stride_w + kw * g.dilation_w - g.pad_w;
+          if (ih >= 0 && ih < g.height && iw >= 0 && iw < g.width) {
+            scatter[(c * g.height + ih) * g.width + iw] +=
+                cols[row * cols_per_row + oh * OW + ow];
+          }
+        }
+      }
+    }
+    for (std::int64_t i = 0; i < full.numel(); ++i) {
+      EXPECT_EQ(full[i], scatter[i]) << describe_geometry(g) << ", pixel " << i;
+    }
+
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::vector<std::int64_t> cuts = random_split(g.col_rows(), rng);
+      Tensor banded(Shape::of(g.channels, g.height, g.width));
+      for (std::size_t b = 0; b + 1 < cuts.size(); ++b) {
+        col2im(cols.data() + cuts[b] * cols_per_row, g, cuts[b], cuts[b + 1],
+               banded.data());
+      }
+      for (std::int64_t i = 0; i < full.numel(); ++i) {
+        EXPECT_EQ(banded[i], full[i])
+            << describe_geometry(g) << ", pixel " << i;
+      }
+    }
+  }
+}
 
 TEST(Serialize, TensorRoundTripStream) {
   Rng rng(21);
