@@ -5,7 +5,8 @@
 // The conv and model rows run at the two perfbench shapes: FLNet on
 // grid 16 x batch 4 x 6 channels (paper_smoke) and grid 8 x batch 2 x
 // 2 channels (fleet_1k_robust). The per-layer Conv2d rows show what
-// share of a FLNet step each of its two convs takes.
+// share of a FLNet step each of its two convs takes, and what the
+// single-output heads of the three models cost.
 #include <benchmark/benchmark.h>
 
 #include "metrics/roc_auc.hpp"
@@ -73,13 +74,14 @@ BENCHMARK(BM_Im2col)
 
 // Per-layer Conv2d rows in the darknet test_*_layer_forward/backward
 // style: one layer built at a model's shape, forward or backward timed
-// alone. Args: batch, in channels, out channels, grid, input_grad.
+// alone. Args: batch, in channels, out channels, grid, kernel,
+// input_grad.
 Conv2d make_bench_conv(const benchmark::State& state, Rng& rng) {
   Conv2dOptions o;
   o.in_channels = state.range(1);
   o.out_channels = state.range(2);
-  o.kernel = 9;
-  o.input_grad = state.range(4) != 0;
+  o.kernel = state.range(4);
+  o.input_grad = state.range(5) != 0;
   return Conv2d("conv", o.same_padding(), rng);
 }
 
@@ -91,10 +93,12 @@ Tensor bench_conv_input(const benchmark::State& state, Rng& rng) {
 
 void conv_layer_label(benchmark::State& state) {
   state.SetLabel(std::to_string(state.range(1)) + "->" +
-                 std::to_string(state.range(2)) + " grid " +
+                 std::to_string(state.range(2)) + " " +
+                 std::to_string(state.range(4)) + "x" +
+                 std::to_string(state.range(4)) + " grid " +
                  std::to_string(state.range(3)) + " batch " +
                  std::to_string(state.range(0)) +
-                 (state.range(4) != 0 ? "" : ", no input grad"));
+                 (state.range(5) != 0 ? "" : ", no input grad"));
 }
 
 void BM_Conv2dForward(benchmark::State& state) {
@@ -121,15 +125,18 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 
 // FLNet's input conv (no input gradient) and 64->1 output conv at both
-// perfbench shapes.
-void flnet_conv_args(benchmark::internal::Benchmark* b) {
-  b->Args({4, 6, 64, 16, 0})
-      ->Args({4, 64, 1, 16, 1})
-      ->Args({2, 2, 64, 8, 0})
-      ->Args({2, 64, 1, 8, 1});
+// perfbench shapes, then the single-output heads of RouteNet (32->1,
+// 5x5) and PROS (16->1, 3x3) at grid 32, batch 8.
+void conv_layer_args(benchmark::internal::Benchmark* b) {
+  b->Args({4, 6, 64, 16, 9, 0})
+      ->Args({4, 64, 1, 16, 9, 1})
+      ->Args({2, 2, 64, 8, 9, 0})
+      ->Args({2, 64, 1, 8, 9, 1})
+      ->Args({8, 32, 1, 32, 5, 1})
+      ->Args({8, 16, 1, 32, 3, 1});
 }
-BENCHMARK(BM_Conv2dForward)->Apply(flnet_conv_args);
-BENCHMARK(BM_Conv2dBackward)->Apply(flnet_conv_args);
+BENCHMARK(BM_Conv2dForward)->Apply(conv_layer_args);
+BENCHMARK(BM_Conv2dBackward)->Apply(conv_layer_args);
 
 // One Adam training step. Args: model kind, batch, channels, grid.
 void BM_ModelTrainStep(benchmark::State& state) {

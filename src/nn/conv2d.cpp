@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/init.hpp"
+#include "tensor/direct_conv.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "util/scratch.hpp"
@@ -67,14 +68,25 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   cached_input_ = training ? input : Tensor();
   Tensor output(Shape::of(N, opts_.out_channels, OH, OW));
 
-  // y = W [Cout x rows] * cols [rows x OHW], summed over bands of the
-  // column matrix; the weight is packed (when the plan says so) once
-  // for the whole batch.
+  // y = W [Cout x rows] * cols [rows x OHW]. A single-output-channel
+  // conv runs the direct kernels on a padded copy of the image; any
+  // other lowers the columns band by band, summed over the bands, with
+  // the weight packed (when the plan says so) once for the whole batch.
   const std::int64_t rows = g.col_rows();
-  const WeightGemm gemm(
-      gemm_plan(GemmOp::kNN, opts_.out_channels, rows, g.col_cols()),
-      weight_.value.data());
-  const std::int64_t band = lowering_band_rows(gemm.plan());
+  std::optional<SingleOutputConv> direct;
+  std::optional<WeightGemm> gemm;
+  std::int64_t band = 0;
+  std::size_t scratch_floats = 0;
+  if (opts_.out_channels == 1) {
+    direct.emplace(g, weight_.value.data());
+    scratch_floats = direct->forward_scratch();
+  } else {
+    gemm.emplace(
+        gemm_plan(GemmOp::kNN, opts_.out_channels, rows, g.col_cols()),
+        weight_.value.data());
+    band = lowering_band_rows(gemm->plan());
+    scratch_floats = static_cast<std::size_t>(band * g.col_cols());
+  }
 
   const std::int64_t in_stride = opts_.in_channels * H * W;
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
@@ -82,15 +94,18 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   // Under an outer parallel region this degrades to the serial loop.
   parallel_for(static_cast<std::size_t>(N), [&](std::size_t nb,
                                                 std::size_t ne) {
-    float* cols = thread_scratch(
-        ScratchSlot::kCols, static_cast<std::size_t>(band * g.col_cols()));
+    float* scratch = thread_scratch(ScratchSlot::kCols, scratch_floats);
     for (std::size_t n = nb; n < ne; ++n) {
       const float* x = input.data() + static_cast<std::int64_t>(n) * in_stride;
       float* out = output.data() + static_cast<std::int64_t>(n) * out_stride;
-      for (std::int64_t r0 = 0; r0 < rows; r0 += band) {
-        const std::int64_t r1 = std::min(rows, r0 + band);
-        im2col(x, g, r0, r1, cols);
-        gemm.run_band(r0, r1, cols, out, /*accumulate=*/r0 > 0);
+      if (direct) {
+        direct->forward(x, scratch, out);
+      } else {
+        for (std::int64_t r0 = 0; r0 < rows; r0 += band) {
+          const std::int64_t r1 = std::min(rows, r0 + band);
+          im2col(x, g, r0, r1, scratch);
+          gemm->run_band(r0, r1, scratch, out, /*accumulate=*/r0 > 0);
+        }
       }
       if (opts_.bias) {
         for (std::int64_t co = 0; co < opts_.out_channels; ++co) {
@@ -126,23 +141,32 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t out_stride = opts_.out_channels * OH * OW;
   const std::int64_t rows = g.col_rows();
 
-  // Per band of the column matrix: dW[:, band] += dy [Cout x OHW] *
-  // cols_band^T, and (when the input gradient is wanted) dcols_band =
-  // W[:, band]^T * dy, scattered back by col2im. dW's GEMM has a
-  // per-sample A (dy), so it runs as a plain gemm_band; dcols reuses
-  // the weight across the whole batch. A packed plan takes the whole
-  // matrix as one band and reference plans over the same columns
-  // agree, so the larger of the two heights serves both.
-  const GemmPlan dw_plan =
-      gemm_plan(GemmOp::kBT, opts_.out_channels, g.col_cols(), rows);
-  std::int64_t band = lowering_band_rows(dw_plan);
+  // A single-output-channel conv runs the direct kernels, one padded
+  // channel plane at a time. Any other, per band of the column matrix:
+  // dW[:, band] += dy [Cout x OHW] * cols_band^T, and (when the input
+  // gradient is wanted) dcols_band = W[:, band]^T * dy, scattered back
+  // by col2im. dW's GEMM has a per-sample A (dy), so it runs as a plain
+  // gemm_band; dcols reuses the weight across the whole batch. A packed
+  // plan takes the whole matrix as one band and reference plans over
+  // the same columns agree, so the larger of the two heights serves
+  // both.
+  std::optional<SingleOutputConv> direct;
+  GemmPlan dw_plan;
+  std::int64_t band = 0;
   std::optional<WeightGemm> dx_gemm;
-  if (input_grad) {
-    dx_gemm.emplace(
-        gemm_plan(GemmOp::kAT, rows, opts_.out_channels, g.col_cols()),
-        weight_.value.data());
-    band = std::max(band, lowering_band_rows(dx_gemm->plan()));
+  if (opts_.out_channels == 1) {
+    direct.emplace(g, weight_.value.data());
+  } else {
+    dw_plan = gemm_plan(GemmOp::kBT, opts_.out_channels, g.col_cols(), rows);
+    band = lowering_band_rows(dw_plan);
+    if (input_grad) {
+      dx_gemm.emplace(
+          gemm_plan(GemmOp::kAT, rows, opts_.out_channels, g.col_cols()),
+          weight_.value.data());
+      band = std::max(band, lowering_band_rows(dx_gemm->plan()));
+    }
   }
+  const std::size_t band_elems = static_cast<std::size_t>(band * g.col_cols());
 
   // Batch-parallel over a FIXED number of slices (independent of the
   // thread-pool size), each with its own dW/db partial, reduced
@@ -157,12 +181,10 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   std::vector<Tensor> db_partial(opts_.bias ? slices : 0,
                                  Tensor(bias_.grad.shape()));
   parallel_for(slices, [&](std::size_t sb, std::size_t se) {
-    const std::size_t band_elems =
-        static_cast<std::size_t>(band * g.col_cols());
-    float* cols = thread_scratch(ScratchSlot::kCols, band_elems);
-    float* dcols =
-        input_grad ? thread_scratch(ScratchSlot::kColsGrad, band_elems)
-                   : nullptr;
+    float* cols = thread_scratch(
+        ScratchSlot::kCols, direct ? direct->backward_scratch() : band_elems);
+    float* dcols = dx_gemm ? thread_scratch(ScratchSlot::kColsGrad, band_elems)
+                           : nullptr;
     for (std::size_t s = sb; s < se; ++s) {
       for (std::size_t n = s * span; n < std::min(batch, (s + 1) * span);
            ++n) {
@@ -170,17 +192,22 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
             input.data() + static_cast<std::int64_t>(n) * in_stride;
         const float* dy =
             grad_output.data() + static_cast<std::int64_t>(n) * out_stride;
-        for (std::int64_t r0 = 0; r0 < rows; r0 += band) {
-          const std::int64_t r1 = std::min(rows, r0 + band);
-          // Recompute the columns (cheaper than caching per sample).
-          im2col(x, g, r0, r1, cols);
-          gemm_band(dw_plan, dy, cols, dw_partial[s].data(), r0, r1,
-                    /*accumulate=*/true);
-          if (input_grad) {
-            dx_gemm->run_band(r0, r1, dy, dcols, /*accumulate=*/false);
-            col2im(dcols, g, r0, r1,
-                   grad_input.data() +
-                       static_cast<std::int64_t>(n) * in_stride);
+        float* dx = input_grad ? grad_input.data() +
+                                     static_cast<std::int64_t>(n) * in_stride
+                               : nullptr;
+        if (direct) {
+          direct->backward(x, dy, dw_partial[s].data(), dx, cols);
+        } else {
+          for (std::int64_t r0 = 0; r0 < rows; r0 += band) {
+            const std::int64_t r1 = std::min(rows, r0 + band);
+            // Recompute the columns (cheaper than caching per sample).
+            im2col(x, g, r0, r1, cols);
+            gemm_band(dw_plan, dy, cols, dw_partial[s].data(), r0, r1,
+                      /*accumulate=*/true);
+            if (dx_gemm) {
+              dx_gemm->run_band(r0, r1, dy, dcols, /*accumulate=*/false);
+              col2im(dcols, g, r0, r1, dx);
+            }
           }
         }
         if (opts_.bias) {

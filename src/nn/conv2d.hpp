@@ -2,14 +2,18 @@
 // workhorse of FLNet / RouteNet / PROS. Weight layout is
 // [Cout, Cin*kh*kw] (a GEMM-ready matrix), bias is [Cout].
 //
-// Each sample is lowered to its [Cin*kh*kw, OH*OW] im2col matrix one
-// band of rows at a time, and the forward GEMM, the dW GEMM and the
-// data-gradient GEMM + col2im consume each band while it is still in
-// cache (tensor/matmul.hpp, gemm_band). The band height comes from the
-// GEMM plans: the whole matrix when a plan is packed, otherwise the
-// multiple of 4 rows that fits kLoweringBandFloats. The thread scratch
-// holds one band, so a 64->1 9x9 head never materializes its 81x
-// column matrix. Results do not depend on the band height.
+// A conv with one output channel (the three models' heads) runs the
+// direct kernels of tensor/direct_conv.hpp on a zero-padded copy of
+// each sample and never lowers it: its GEMMs would all be vector
+// products on reference plans, which the kernels reproduce bit for bit
+// without the column matrix. Any other conv lowers each sample to its
+// [Cin*kh*kw, OH*OW] im2col matrix one band of rows at a time, and the
+// forward GEMM, the dW GEMM and the data-gradient GEMM + col2im
+// consume each band while it is still in cache (tensor/matmul.hpp,
+// gemm_band). The band height comes from the GEMM plans: the whole
+// matrix when a plan is packed, otherwise the multiple of 4 rows that
+// fits kLoweringBandFloats. The thread scratch holds one band. Results
+// do not depend on the band height.
 #pragma once
 
 #include "nn/module.hpp"

@@ -31,7 +31,10 @@ inline void axpy1(float* crow, float a, const float* brow, std::int64_t n) {
 // The reference kernels on strided operands: `lda` / `ldc` are the
 // stored row strides of A and C, so the same loops serve a whole matrix
 // and a band of one (gemm_band). The public *_reference kernels pass
-// the tight strides.
+// the tight strides. tensor/direct_conv.cpp repeats their operation
+// order for a single-output conv (nn and bt with m = 1, at with k = 1),
+// so a change to the order here must be made there too
+// (ConvLowering.LayersMatchWholeMatrixLoweringBitwise checks both).
 
 void nn_reference(const float* a, std::int64_t lda, const float* b, float* c,
                   std::int64_t m, std::int64_t k, std::int64_t n,

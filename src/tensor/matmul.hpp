@@ -1,7 +1,9 @@
 // Threaded dense matrix multiply kernels. Matrices are row-major
 // float buffers described by (rows, cols); these are the hot kernels
-// behind im2col-based convolution, so they avoid Tensor overhead and
-// work on raw pointers.
+// behind im2col-based convolution (every conv with more than one
+// output channel; tensor/direct_conv.hpp reproduces the reference
+// kernels for the single-output heads without lowering), so they
+// avoid Tensor overhead and work on raw pointers.
 //
 // The public matmul / matmul_at / matmul_bt entry points and
 // WeightGemm run the plan gemm_plan() computes for their shape

@@ -1,11 +1,13 @@
 // Thread-local scratch buffers for kernel intermediates (im2col column
-// bands, their gradients, and the packed GEMM panels). Conv2d lowers a
+// bands, their gradients, the padded image or planes of a
+// single-output conv, and the packed GEMM panels). Conv2d lowers a
 // band of the column matrix at a time — about 32 KB under a reference
 // plan, the whole matrix under a packed one — and the batch workers of
-// a layer each hold their own; ConvTranspose2d still lowers its whole
-// matrix. Allocating these fresh every step would cost page faults and
-// zero-fill, so buffers persist per thread and per slot, growing
-// monotonically.
+// a layer each hold their own; a Conv2d with one output channel holds
+// its padded input (forward) or two padded planes (backward) in kCols
+// instead; ConvTranspose2d still lowers its whole matrix. Allocating
+// these fresh every step would cost page faults and zero-fill, so
+// buffers persist per thread and per slot, growing monotonically.
 #pragma once
 
 #include <cstddef>

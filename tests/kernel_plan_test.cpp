@@ -3,10 +3,12 @@
 // shape sweep (including the degenerate and tail shapes the packing
 // zero-pads), the auto plan must be bit-identical across thread-pool
 // sizes, WeightGemm must run exactly the kernel its plan names (also
-// from concurrent batch workers), the conv layers' banded lowering
-// must match a whole-matrix lowering bit for bit, and FLEDA_PLAN must
-// accept only "auto" and "reference", the latter making a full
-// training step use the historical kernels.
+// from concurrent batch workers), the conv layers' banded lowering and
+// Conv2d's direct Cout == 1 kernels must match a whole-matrix lowering
+// bit for bit, every GEMM of a model head with one output channel must
+// plan reference kernels (what the direct kernels reproduce), and
+// FLEDA_PLAN must accept only "auto" and "reference", the latter making
+// a full training step use the historical kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,10 +18,12 @@
 #include <vector>
 
 #include "models/flnet.hpp"
+#include "models/registry.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/conv_transpose2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "phys/features.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -372,73 +376,97 @@ LayerResults deconv_oracle(const ConvTranspose2dOptions& o, const Tensor& w,
   return r;
 }
 
-// Conv2d's banded lowering (and its no-input-grad variant) and
-// ConvTranspose2d must reproduce the whole-matrix lowering bit for bit:
-// forward, dW, db and dx, for single-, few- and many-output-channel
-// layers, under both plan modes, at every pool size, and with a NaN in
-// the input, which reaches every output that reads it (0 * NaN = NaN,
-// as GemmPacked.PropagatesNonFiniteValues requires of the kernels).
+// Conv2d — banded lowering for Cout > 1 (with and without input
+// grad), the direct kernels for Cout == 1 — and ConvTranspose2d must
+// reproduce the whole-matrix lowering bit for bit: forward, dW, db and
+// dx, for single-, few- and many-output-channel layers, under both plan
+// modes, at every pool size. One variant puts a NaN in the input, which
+// reaches every output that reads it (0 * NaN = NaN, as
+// GemmPacked.PropagatesNonFiniteValues requires of the kernels);
+// another sets one weight to +Inf, whose products with padding zeros
+// are NaN in the lowered path and must stay NaN.
 TEST(ConvLowering, LayersMatchWholeMatrixLoweringBitwise) {
   struct ConvCase {
     std::int64_t cin, h, w, kernel, stride, dilation;
+    std::vector<std::int64_t> couts;
   };
   // Under reference plans, 3 x 81 = 243 rows of 256 pixels make eight
   // 32-row bands with a ragged, non-multiple-of-4 last one; the
   // strided, dilated case (100 rows of 12 x 11 pixels) makes a 60-row
   // and a 40-row band and exercises the strided gather and scatter.
-  const std::vector<ConvCase> conv_cases = {{3, 16, 16, 9, 1, 1},
-                                            {4, 23, 21, 5, 2, 2}};
+  // The 7 x 9 case has OW % 4 != 0 and OH * OW % 4 != 0 (the direct
+  // kernels' gathered groups and tail pixels); the last is the
+  // fleet_1k_robust FLNet head.
+  const std::vector<ConvCase> conv_cases = {
+      {3, 16, 16, 9, 1, 1, {1, 3, 64}},
+      {4, 23, 21, 5, 2, 2, {1, 3, 64}},
+      {2, 7, 9, 5, 1, 1, {1, 3, 64}},
+      {64, 8, 8, 9, 1, 1, {1}}};
+  enum class Poison { kNanInput, kInfWeight };
   for (PlanMode mode : {PlanMode::kAuto, PlanMode::kReference}) {
     const PlanModeGuard guard(mode);
     const std::string mode_name =
         mode == PlanMode::kAuto ? "auto" : "reference";
-    for (std::int64_t cout : {1, 3, 64}) {
-      for (const ConvCase& cc : conv_cases) {
-        Conv2dOptions o;
-        o.in_channels = cc.cin;
-        o.out_channels = cout;
-        o.kernel = cc.kernel;
-        o.stride = cc.stride;
-        o.dilation = cc.dilation;
-        o.same_padding();
-        Rng rng(static_cast<std::uint64_t>(31 + cout));
-        Tensor x = random_input(Shape::of(3, cc.cin, cc.h, cc.w), rng);
-        const std::int64_t nan_at = x.numel() / 2 + 5;
-        x[nan_at] = std::nanf("");
-        for (std::size_t threads : {1u, 2u, 8u}) {
-          ThreadPool::reset_global(threads);
-          for (bool input_grad : {true, false}) {
-            o.input_grad = input_grad;
-            Rng init(7);
-            Conv2d conv("c", o, init);
-            conv.bias().value = random_input(conv.bias().value.shape(), init);
-            const Tensor y = conv.forward(x, /*training=*/true);
-            Rng grad_rng(9);
-            const Tensor dy = random_input(y.shape(), grad_rng);
-            const Tensor dx = conv.backward(dy);
-            const LayerResults want = conv2d_oracle(
-                o, conv.weight().value, conv.bias().value, x, dy);
-            const std::string where = conv.describe() + " " + mode_name +
-                                      " pool " + std::to_string(threads);
-            EXPECT_TRUE(bits_equal(y, want.y)) << where << ": forward";
-            EXPECT_TRUE(bits_equal(conv.weight().grad, want.dw))
-                << where << ": dW";
-            EXPECT_TRUE(bits_equal(conv.bias().grad, want.db))
-                << where << ": db";
-            if (input_grad) {
-              EXPECT_TRUE(bits_equal(dx, want.dx)) << where << ": dx";
-            } else {
-              EXPECT_TRUE(dx.empty()) << where;
-            }
-            // The NaN pixel is the centre tap of its own output pixel
-            // in the stride-1 case.
-            if (cc.stride == 1) {
-              const std::int64_t pixels = cc.h * cc.w;
-              const std::int64_t sample = nan_at / (cc.cin * pixels);
-              for (std::int64_t co = 0; co < cout; ++co) {
-                EXPECT_TRUE(std::isnan(
-                    y[(sample * cout + co) * pixels + nan_at % pixels]))
-                    << where << ", channel " << co;
+    for (const ConvCase& cc : conv_cases) {
+      for (std::int64_t cout : cc.couts) {
+        for (Poison poison : {Poison::kNanInput, Poison::kInfWeight}) {
+          Conv2dOptions o;
+          o.in_channels = cc.cin;
+          o.out_channels = cout;
+          o.kernel = cc.kernel;
+          o.stride = cc.stride;
+          o.dilation = cc.dilation;
+          o.same_padding();
+          Rng rng(static_cast<std::uint64_t>(31 + cout));
+          Tensor x = random_input(Shape::of(3, cc.cin, cc.h, cc.w), rng);
+          const std::int64_t nan_at = x.numel() / 2 + 5;
+          if (poison == Poison::kNanInput) x[nan_at] = std::nanf("");
+          for (std::size_t threads : {1u, 2u, 8u}) {
+            ThreadPool::reset_global(threads);
+            for (bool input_grad : {true, false}) {
+              o.input_grad = input_grad;
+              Rng init(7);
+              Conv2d conv("c", o, init);
+              conv.bias().value =
+                  random_input(conv.bias().value.shape(), init);
+              // Row 0 is channel 0's top-left tap: it reads padding at
+              // the top-left output pixel.
+              if (poison == Poison::kInfWeight) {
+                conv.weight().value[0] = INFINITY;
+              }
+              const Tensor y = conv.forward(x, /*training=*/true);
+              Rng grad_rng(9);
+              const Tensor dy = random_input(y.shape(), grad_rng);
+              const Tensor dx = conv.backward(dy);
+              const LayerResults want = conv2d_oracle(
+                  o, conv.weight().value, conv.bias().value, x, dy);
+              const std::string where =
+                  conv.describe() + " " + mode_name + " pool " +
+                  std::to_string(threads) +
+                  (poison == Poison::kNanInput ? ", NaN input"
+                                               : ", +Inf weight");
+              EXPECT_TRUE(bits_equal(y, want.y)) << where << ": forward";
+              EXPECT_TRUE(bits_equal(conv.weight().grad, want.dw))
+                  << where << ": dW";
+              EXPECT_TRUE(bits_equal(conv.bias().grad, want.db))
+                  << where << ": db";
+              if (input_grad) {
+                EXPECT_TRUE(bits_equal(dx, want.dx)) << where << ": dx";
+              } else {
+                EXPECT_TRUE(dx.empty()) << where;
+              }
+              if (poison == Poison::kInfWeight) {
+                EXPECT_TRUE(std::isnan(y[0])) << where;
+              } else if (cc.stride == 1) {
+                // The NaN pixel is the centre tap of its own output
+                // pixel in the stride-1 cases.
+                const std::int64_t pixels = cc.h * cc.w;
+                const std::int64_t sample = nan_at / (cc.cin * pixels);
+                for (std::int64_t co = 0; co < cout; ++co) {
+                  EXPECT_TRUE(std::isnan(
+                      y[(sample * cout + co) * pixels + nan_at % pixels]))
+                      << where << ", channel " << co;
+                }
               }
             }
           }
@@ -528,6 +556,39 @@ TEST(PlanMode, GemmPlanIsTheCostModelInAutoAndReferenceOtherwise) {
     EXPECT_EQ(got.shape.m, s.m);
     EXPECT_EQ(got.shape.k, s.k);
     EXPECT_EQ(got.shape.n, s.n);
+  }
+}
+
+// Conv2d runs a Cout == 1 layer on direct kernels that repeat the
+// reference kernels' operation order, so it matches the lowered path
+// only while every GEMM of such a layer — forward kNN m=1, dW kBT m=1,
+// dx kAT k=1 — gets a reference plan. Checked for each model's head at
+// grids up to 256, in both modes.
+TEST(PlanMode, SingleOutputHeadsPlanReferenceGemmsInBothModes) {
+  for (ModelKind kind :
+       {ModelKind::kFLNet, ModelKind::kRouteNet, ModelKind::kPROS}) {
+    Rng rng(5);
+    RoutabilityModelPtr model = make_model(kind, kNumFeatureChannels, rng);
+    const Parameter* head = nullptr;
+    for (Parameter* p : model->parameters()) {
+      if (p->name == "output_conv.weight") head = p;
+    }
+    ASSERT_NE(head, nullptr) << to_string(kind);
+    ASSERT_EQ(head->value.shape().dim(0), 1) << to_string(kind);
+    const std::int64_t rows = head->value.shape().dim(1);
+    for (PlanMode mode : {PlanMode::kAuto, PlanMode::kReference}) {
+      const PlanModeGuard guard(mode);
+      for (std::int64_t grid : {4, 8, 16, 32, 64, 256}) {
+        const std::int64_t pixels = grid * grid;  // stride 1, same padding
+        for (const GemmPlan& plan : {gemm_plan(GemmOp::kNN, 1, rows, pixels),
+                                     gemm_plan(GemmOp::kBT, 1, pixels, rows),
+                                     gemm_plan(GemmOp::kAT, rows, 1, pixels)}) {
+          EXPECT_EQ(plan.strategy, GemmStrategy::kReference)
+              << to_string(kind) << " grid " << grid << ": "
+              << plan.to_string();
+        }
+      }
+    }
   }
 }
 
