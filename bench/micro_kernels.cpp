@@ -5,9 +5,12 @@
 //
 // Emits BENCH_kernels.json for the CI bench-trajectory artifact;
 // ci/perf_gate.py diffs the per-shape auto GFLOP/s against the previous
-// main run with a +/-20% band. The bench gates itself on correctness
-// (auto result within summation-order tolerance of reference for every
-// shape) and on the cost model picking packed for the fat conv shapes.
+// main run with a +/-20% band. The record names the ISA tier the packed
+// micro-kernel dispatched to ("isa": "avx512" | "avx2" | "base"), so
+// records from hosts on different tiers are told apart. The bench
+// gates itself on correctness (auto result within summation-order
+// tolerance of reference for every shape) and on the cost model
+// picking packed for the fat conv shapes.
 //
 // Shape naming: <model>_<layer>[_dw|_dx]. Forward conv GEMMs are kNN
 // (weight x im2col columns), backward dW is kBT (dy x cols^T), backward
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/isa.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/plan.hpp"
 #include "util/rng.hpp"
@@ -155,8 +159,10 @@ void write_bench_json(const std::vector<ShapeResult>& results, bool pass) {
     std::fprintf(stderr, "micro_kernels: cannot write BENCH_kernels.json\n");
     return;
   }
-  std::fprintf(f, "{\"bench\":\"micro_kernels\",\"threads\":%zu,\"shapes\":[",
-               ThreadPool::global().size());
+  std::fprintf(f,
+               "{\"bench\":\"micro_kernels\",\"threads\":%zu,\"isa\":\"%s\","
+               "\"shapes\":[",
+               ThreadPool::global().size(), to_string(host_isa_tier()));
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ShapeResult& r = results[i];
     std::fprintf(
@@ -177,9 +183,10 @@ void write_bench_json(const std::vector<ShapeResult>& results, bool pass) {
 
 int main_impl() {
   std::printf("== micro_kernels: planner strategies on model GEMM shapes ==\n");
-  std::printf("threads=%zu plan_mode=%s MR=%lld NR=%lld\n",
+  std::printf("threads=%zu plan_mode=%s isa=%s MR=%lld NR=%lld\n",
               ThreadPool::global().size(),
               plan_mode() == PlanMode::kReference ? "reference" : "auto",
+              to_string(host_isa_tier()),
               static_cast<long long>(kGemmMR),
               static_cast<long long>(kGemmNR));
 

@@ -7,6 +7,12 @@
 // 2 channels (fleet_1k_robust). The per-layer Conv2d rows show what
 // share of a FLNet step each of its two convs takes, and what the
 // single-output heads of the three models cost.
+//
+// Those rows time wall clock, not the main thread's CPU time: the
+// layers run batch-parallel on the thread pool, whose workers' time
+// the CPU clock misses. Each runs five repetitions and reports their
+// mean, median, stddev and cv, so a change can be read against the
+// row's own spread.
 #include <benchmark/benchmark.h>
 
 #include "metrics/roc_auc.hpp"
@@ -135,8 +141,15 @@ void conv_layer_args(benchmark::internal::Benchmark* b) {
       ->Args({8, 32, 1, 32, 5, 1})
       ->Args({8, 16, 1, 32, 3, 1});
 }
-BENCHMARK(BM_Conv2dForward)->Apply(conv_layer_args);
-BENCHMARK(BM_Conv2dBackward)->Apply(conv_layer_args);
+// Wall-clock time over repeated runs, reported as aggregates.
+void repeated_wall_time(benchmark::internal::Benchmark* b) {
+  b->UseRealTime()->Repetitions(5)->ReportAggregatesOnly(true);
+}
+
+BENCHMARK(BM_Conv2dForward)->Apply(conv_layer_args)->Apply(repeated_wall_time);
+BENCHMARK(BM_Conv2dBackward)
+    ->Apply(conv_layer_args)
+    ->Apply(repeated_wall_time);
 
 // One Adam training step. Args: model kind, batch, channels, grid.
 void BM_ModelTrainStep(benchmark::State& state) {
@@ -160,6 +173,7 @@ void BM_ModelTrainStep(benchmark::State& state) {
                  " batch " + std::to_string(batch));
 }
 BENCHMARK(BM_ModelTrainStep)
+    ->Apply(repeated_wall_time)
     ->Args({static_cast<int>(ModelKind::kFLNet), 4, kNumFeatureChannels, 16})
     ->Args({static_cast<int>(ModelKind::kFLNet), 2, 2, 8})
     ->Args({static_cast<int>(ModelKind::kFLNet), 8, kNumFeatureChannels, 32})

@@ -55,6 +55,7 @@ ALL_RULES = (
     "stdout-io",
     "pragma-once",
     "mutex-guarded",
+    "fused-fma",
 )
 
 # Directories (relative to a src root) whose numeric code must not
@@ -72,6 +73,12 @@ STDOUT_RE = re.compile(
     r"std\s*::\s*cout\b"
     r"|(?<![\w:])(?:std\s*::\s*)?(?:printf|puts)\s*\("
     r"|\bfprintf\s*\(\s*stdout\b"
+)
+FUSED_FMA_RE = re.compile(
+    r"\bstd\s*::\s*fma[fl]?\b"
+    r"|(?<![\w:.>])fma[fl]?\s*\("
+    r"|\b__builtin_fma\w*"
+    r"|\b_mm\d*_(?:\w+_)?fn?m(?:add|sub)\w*_[ps][sd]\b"
 )
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b", re.MULTILINE)
 MUTEX_DECL_RE = re.compile(
@@ -253,6 +260,13 @@ def lint_file(path, force_all_rules=False):
                 "stdout-io",
                 "stdout write in library code — benches own stdout; use "
                 "util/logging (stderr) instead",
+            )
+        if FUSED_FMA_RE.search(line):
+            report(
+                lineno,
+                "fused-fma",
+                "fused multiply-add — kernels round a product and a sum "
+                "separately so every ISA tier gives the same bits",
             )
         if check_unordered:
             for name, rf, bf in zip(unordered_names, range_for_res, begin_res):

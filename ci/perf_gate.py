@@ -12,6 +12,7 @@ Gated metrics (current vs previous):
   - BENCH_comm.json    codecs[*].encode_mb_per_s       must be >= 0.8x
   - BENCH_comm.json    codecs[*].decode_mb_per_s       must be >= 0.8x
   - BENCH_kernels.json shapes[*].auto_gflops           must be >= 0.8x
+                       (only against a record of the same "isa" tier)
 
 Stdlib only (urllib + zipfile against the GitHub REST API). The gate is
 advisory-by-absence: no GITHUB_TOKEN, no previous artifact, or an API
@@ -168,8 +169,15 @@ def main():
             errors.append(check(
                 f"comm.{name}.{metric}",
                 now_rows[name].get(metric), prev_rows[name].get(metric)))
+    # Kernel GFLOP/s depend on the ISA tier the micro-kernel dispatched
+    # to; a record from another tier (or from before records named
+    # theirs, when every host ran the base tier) is not a baseline.
     now_shapes = shape_rows(kernels_now)
     prev_shapes = shape_rows(kernels_prev)
+    if kernels_now.get("isa") != kernels_prev.get("isa"):
+        print(f"perf_gate: kernels not compared - ISA tier "
+              f"{kernels_now.get('isa')} vs {kernels_prev.get('isa')}")
+        prev_shapes = {}
     for name in sorted(set(now_shapes) & set(prev_shapes)):
         errors.append(check(
             f"kernels.{name}.auto_gflops",

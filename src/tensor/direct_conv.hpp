@@ -19,6 +19,19 @@
 // Products with padding zeros are kept: w * 0 is NaN for a non-finite
 // w, and the lowered path propagates it. Row r = (c * kh + i) * kw + j
 // is channel c at kernel tap (i, j), as in im2col.
+//
+// The AVX2 and AVX-512 tiers (tensor/isa.hpp) run forward on groups of
+// 8 or 16 pixels instead of 4 where OW is a multiple of that (stride
+// 1), so the wider loads stay in one output row. For a stride-1
+// geometry whose W is such a multiple they gather dx instead of
+// scattering it: 8 or 16 input pixels held in a register across all
+// taps, reading dy from a copy with a zero margin. A tap that meets no
+// output pixel then adds 0 + w * 0 = +0, which changes no sum (see
+// data_grad_gather_groups), so a channel whose weights are all finite
+// gets the same bits; any other is scattered. For kernel rows of 9 to
+// 16 taps (FLNet's 9 x 9 head) the AVX-512 tier runs dW with a row's
+// taps across a zmm's lanes, keeping each tap's four p mod 4
+// accumulators and their reduction; other dW runs the base kernels.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +39,7 @@
 #include <vector>
 
 #include "tensor/im2col.hpp"
+#include "tensor/isa.hpp"
 
 namespace fleda {
 
@@ -36,12 +50,15 @@ namespace fleda {
 // object is.
 class SingleOutputConv {
  public:
-  SingleOutputConv(const ConvGeometry& g, const float* weight);
+  // `tier` picks the kernels' instruction set (tensor/isa.hpp); every
+  // tier gives the same bits.
+  SingleOutputConv(const ConvGeometry& g, const float* weight,
+                   IsaTier tier = host_isa_tier());
 
   // Scratch floats forward() needs: the padded image.
   std::size_t forward_scratch() const;
-  // Scratch floats backward() needs: one padded input plane and one
-  // padded gradient plane.
+  // Scratch floats backward() needs: one padded input plane, one
+  // padded gradient plane and, where dx is gathered, dy with a margin.
   std::size_t backward_scratch() const;
 
   // y[OH*OW] = W * cols(image), overwriting y; no bias.
@@ -68,8 +85,14 @@ class SingleOutputConv {
   // consecutive padded columns (stride 1, OW % 4 == 0), so its loads
   // are contiguous; otherwise the kernels gather through pix_.
   bool contiguous_;
+  IsaTier tier_;
   std::vector<std::int64_t> row_off_;  // row r's tap (0,0) in the padded image
   std::vector<std::int64_t> pix_;      // pixel p's offset from its tap origin
+  // Where the tier gathers dx: the row width and size of dy with a
+  // margin, and tap t's offset into it from an input pixel's origin.
+  std::int64_t dy_w_ = 0;
+  std::int64_t dy_plane_ = 0;
+  std::vector<std::int64_t> dy_tap_;
 };
 
 }  // namespace fleda

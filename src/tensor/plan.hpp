@@ -48,8 +48,11 @@ void set_plan_mode(PlanMode mode);  // overrides the environment
 // throws std::invalid_argument naming the value and both accepted ones.
 PlanMode parse_plan_mode(std::string_view value);
 
-// Register micro-tile of the packed kernel: MR rows x NR columns of C
-// held in accumulators across a whole KC block.
+// Packed-panel widths: MR rows of A and NR columns of B per micro-panel.
+// The base micro-kernel holds an MR x NR tile of C in accumulators
+// across a whole KC block; the AVX2 and AVX-512 ones hold MR x 2NR and
+// MR x 4NR over adjacent panels (tensor/isa.hpp). Plans and panel
+// layouts do not depend on the tier.
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 8;
 
@@ -87,7 +90,7 @@ GemmPlan gemm_plan(GemmOp op, std::int64_t m, std::int64_t k,
 // C = op(A) * B (+C when accumulate) under a packed `plan`, on the
 // layouts implied by plan.shape.op (gemm_packed.cpp). Packs B panels
 // into the calling thread's aligned scratch and A micro-panels on the
-// fly.
+// fly, and runs the micro-kernel of the host's ISA tier.
 void gemm_packed(const GemmPlan& plan, const float* a, const float* b,
                  float* c, bool accumulate);
 

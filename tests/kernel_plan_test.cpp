@@ -8,7 +8,9 @@
 // bit for bit, every GEMM of a model head with one output channel must
 // plan reference kernels (what the direct kernels reproduce), and
 // FLEDA_PLAN must accept only "auto" and "reference", the latter making
-// a full training step use the historical kernels.
+// a full training step use the historical kernels. Every ISA tier the
+// host runs (tensor/isa.hpp) must give the packed GEMM and the direct
+// Cout == 1 kernels the same bits as a scalar oracle of their order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,7 +26,9 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "phys/features.hpp"
+#include "tensor/direct_conv.hpp"
 #include "tensor/im2col.hpp"
+#include "tensor/isa.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/plan.hpp"
@@ -133,6 +137,198 @@ TEST(GemmPacked, MatchesReferenceOverShapeSweep) {
             1e-5f * std::max(1.0f, std::sqrt(static_cast<float>(s.k)));
         EXPECT_LE(max_abs_diff(want, got), tolerance)
             << plan.to_string() << " accumulate=" << accumulate;
+      }
+    }
+  }
+}
+
+// The packed GEMM's order written out scalar: per KC slice in
+// ascending order, acc = 0, acc += A(i, p) * B(p, j) over the slice,
+// then C = acc (first slice, not accumulating) or C += acc.
+void packed_order_oracle(const GemmPlan& plan, const float* a, const float* b,
+                         float* c, bool accumulate) {
+  const GemmShape& s = plan.shape;
+  for (std::int64_t i = 0; i < s.m; ++i) {
+    for (std::int64_t j = 0; j < s.n; ++j) {
+      float& out = c[i * s.n + j];
+      for (std::int64_t pc = 0; pc < s.k; pc += plan.kc) {
+        float acc = 0.0f;
+        for (std::int64_t p = pc; p < std::min(s.k, pc + plan.kc); ++p) {
+          const float av = s.op == GemmOp::kAT ? a[p * s.m + i] : a[i * s.k + p];
+          const float bv = s.op == GemmOp::kBT ? b[j * s.k + p] : b[p * s.n + j];
+          acc += av * bv;
+        }
+        out = pc == 0 && !accumulate ? acc : out + acc;
+      }
+    }
+  }
+}
+
+// Index of the first float whose bits differ, or -1. Two NaNs count as
+// equal: x86 returns the first operand's NaN from a sum of two NaNs,
+// and the compiler may commute an addition (tensor/isa.hpp).
+std::int64_t first_bit_mismatch(const float* want, const float* got,
+                                std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (std::isnan(want[i]) && std::isnan(got[i])) continue;
+    if (std::memcmp(want + i, got + i, sizeof(float)) != 0) return i;
+  }
+  return -1;
+}
+
+// Every ISA tier this host runs, kBase first.
+std::vector<IsaTier> runnable_tiers() {
+  std::vector<IsaTier> tiers;
+  for (IsaTier t : {IsaTier::kBase, IsaTier::kAvx2, IsaTier::kAvx512}) {
+    if (t <= host_isa_tier()) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+// Overwrites a few entries with NaN, +Inf and -Inf.
+void poison(std::vector<float>& v, Rng& rng) {
+  const float specials[] = {std::nanf(""), INFINITY, -INFINITY};
+  for (float special : specials) {
+    v[static_cast<std::size_t>(rng.uniform_int(v.size()))] = special;
+  }
+}
+
+TEST(GemmPacked, EveryIsaTierMatchesThePackedOrderBitwise) {
+  // Seeded shapes with m % 4 and n % 8 tails, blocks of 3, 5 and 7
+  // panels (odd counts split the multi-panel passes into halves),
+  // several KC slices and NC blocks, with and without accumulation,
+  // and NaN / +-Inf in A and in B.
+  struct Case {
+    std::int64_t m, k, n, kc, nc;
+  };
+  std::vector<Case> cases = {{4, 8, 8, 8, 8},       {13, 50, 56, 16, 56},
+                             {9, 40, 24, 40, 24},   {7, 33, 40, 8, 40},
+                             {16, 64, 130, 24, 64}, {1, 5, 1, 2, 8},
+                             {37, 100, 101, 48, 72}};
+  Rng shapes(29);
+  for (int i = 0; i < 8; ++i) {
+    const std::int64_t k = 1 + static_cast<std::int64_t>(shapes.uniform_int(90));
+    cases.push_back({1 + static_cast<std::int64_t>(shapes.uniform_int(40)), k,
+                     1 + static_cast<std::int64_t>(shapes.uniform_int(150)),
+                     1 + static_cast<std::int64_t>(shapes.uniform_int(
+                             static_cast<std::uint64_t>(k))),
+                     kGemmNR * (1 + static_cast<std::int64_t>(
+                                        shapes.uniform_int(9)))});
+  }
+  Rng rng(17);
+  for (GemmOp op : {GemmOp::kNN, GemmOp::kAT, GemmOp::kBT}) {
+    for (const Case& cs : cases) {
+      for (bool accumulate : {false, true}) {
+        for (bool poisoned : {false, true}) {
+          GemmPlan plan = forced_packed_plan(op, cs.m, cs.k, cs.n);
+          plan.kc = cs.kc;
+          plan.nc = cs.nc;
+          std::vector<float> a =
+              random_vec(static_cast<std::size_t>(cs.m * cs.k), rng);
+          std::vector<float> b =
+              random_vec(static_cast<std::size_t>(cs.k * cs.n), rng);
+          if (poisoned) {
+            poison(a, rng);
+            poison(b, rng);
+          }
+          const std::vector<float> seed =
+              random_vec(static_cast<std::size_t>(cs.m * cs.n), rng);
+          std::vector<float> want = seed;
+          packed_order_oracle(plan, a.data(), b.data(), want.data(),
+                              accumulate);
+          for (IsaTier tier : runnable_tiers()) {
+            std::vector<float> got = seed;
+            gemm_packed(tier, plan, a.data(), b.data(), got.data(),
+                        accumulate);
+            EXPECT_EQ(first_bit_mismatch(want.data(), got.data(),
+                                         cs.m * cs.n),
+                      -1)
+                << to_string(tier) << " " << plan.to_string()
+                << " accumulate=" << accumulate << " poisoned=" << poisoned;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SingleOutputConv, EveryIsaTierMatchesTheWholeMatrixLoweringBitwise) {
+  // Forward, dW (+= into a nonzero dw) and dx of a Cout == 1 conv
+  // against one full im2col matrix and the reference kernels, per tier.
+  // OW = 16 and 32 take 16-pixel AVX-512 groups, OW = 8 the 8-pixel
+  // AVX2 ones, and the wide tiers gather dx there; OW = 12 runs the
+  // base kernels; OW = 9 and the strided, dilated case gather their
+  // loads through the pixel offsets. Poisoned inputs put NaN and +-Inf
+  // in the image and in dy; a poisoned weight (+Inf) makes its channel
+  // scatter dx while the others gather.
+  struct Case {
+    std::int64_t c, h, w, kernel, stride, dilation;
+  };
+  const Case cases[] = {{3, 16, 16, 9, 1, 1}, {5, 8, 8, 9, 1, 1},
+                        {4, 32, 32, 5, 1, 1}, {2, 16, 16, 3, 1, 2},
+                        {3, 12, 12, 3, 1, 1}, {2, 7, 9, 5, 1, 1},
+                        {4, 23, 21, 5, 2, 2}};
+  enum class Poison { kNone, kData, kWeight };
+  Rng rng(41);
+  for (const Case& cs : cases) {
+    for (Poison poisoned : {Poison::kNone, Poison::kData, Poison::kWeight}) {
+      ConvGeometry g;
+      g.channels = cs.c;
+      g.height = cs.h;
+      g.width = cs.w;
+      g.kernel_h = g.kernel_w = cs.kernel;
+      g.stride_h = g.stride_w = cs.stride;
+      g.dilation_h = g.dilation_w = cs.dilation;
+      g.pad_h = g.pad_w = cs.dilation * (cs.kernel - 1) / 2;
+      const std::int64_t rows = g.col_rows();
+      const std::int64_t pixels = g.col_cols();
+      const std::int64_t image = cs.c * cs.h * cs.w;
+      std::vector<float> x = random_vec(static_cast<std::size_t>(image), rng);
+      std::vector<float> w = random_vec(static_cast<std::size_t>(rows), rng);
+      std::vector<float> dy =
+          random_vec(static_cast<std::size_t>(pixels), rng);
+      const std::vector<float> dw0 =
+          random_vec(static_cast<std::size_t>(rows), rng);
+      if (poisoned == Poison::kData) {
+        poison(x, rng);
+        poison(dy, rng);
+      } else if (poisoned == Poison::kWeight) {
+        w[static_cast<std::size_t>(rows / 2)] = INFINITY;
+      }
+
+      std::vector<float> cols(static_cast<std::size_t>(rows * pixels));
+      im2col(x.data(), g, 0, rows, cols.data());
+      std::vector<float> want_y(static_cast<std::size_t>(pixels));
+      matmul_reference(w.data(), cols.data(), want_y.data(), 1, rows, pixels);
+      std::vector<float> want_dw = dw0;
+      matmul_bt_reference(dy.data(), cols.data(), want_dw.data(), 1, pixels,
+                          rows, /*accumulate=*/true);
+      std::vector<float> dcols(cols.size());
+      matmul_at_reference(w.data(), dy.data(), dcols.data(), rows, 1, pixels);
+      std::vector<float> want_dx(static_cast<std::size_t>(image), 0.0f);
+      col2im(dcols.data(), g, 0, rows, want_dx.data());
+
+      for (IsaTier tier : runnable_tiers()) {
+        const SingleOutputConv conv(g, w.data(), tier);
+        std::vector<float> scratch(
+            std::max(conv.forward_scratch(), conv.backward_scratch()));
+        std::vector<float> y(static_cast<std::size_t>(pixels));
+        conv.forward(x.data(), scratch.data(), y.data());
+        std::vector<float> dw = dw0;
+        std::vector<float> dx(static_cast<std::size_t>(image));
+        conv.backward(x.data(), dy.data(), dw.data(), dx.data(),
+                      scratch.data());
+        const std::string where =
+            std::string(to_string(tier)) + " " + std::to_string(cs.c) + "x" +
+            std::to_string(cs.h) + "x" + std::to_string(cs.w) + " k" +
+            std::to_string(cs.kernel) + " poison " +
+            std::to_string(static_cast<int>(poisoned));
+        EXPECT_EQ(first_bit_mismatch(want_y.data(), y.data(), pixels), -1)
+            << where << ": forward";
+        EXPECT_EQ(first_bit_mismatch(want_dw.data(), dw.data(), rows), -1)
+            << where << ": dW";
+        EXPECT_EQ(first_bit_mismatch(want_dx.data(), dx.data(), image), -1)
+            << where << ": dx";
       }
     }
   }
